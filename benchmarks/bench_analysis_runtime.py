@@ -1,23 +1,13 @@
-"""ConcSan runtime budget + LockSan overhead guards.
+"""ConcSan runtime budget guard.
 
-Two claims the PR 7 analyzer makes about its own cost, bounded
-empirically alongside the existing <2% MemSan dispatch guard
+A claim the analyzer makes about its own cost, bounded empirically
+alongside the <2% MemSan dispatch guard
 (``bench_sanitizer_overhead.py``):
 
 - **ConcSan is cheap enough to gate CI.**  The full analyzer
   (REP001–REP011, including the interprocedural project model built
   twice — once for REP009, once for REP010) over the whole ``repro``
   package must finish well inside a CI-friendly budget (<10 s).
-- **LockSan-on is affordable for the whole suite.**  CI runs the test
-  suite once with ``REPRO_LOCKSAN=1``.  Only objects that call
-  ``watch()`` (the supervisor) pay per-access cost; everything else
-  pays a single module-level enablement check per lock construction.
-  The guard drives the *worst realistic* load — full supervisor
-  lifecycles (real queues, real monitor thread) — with LockSan off and
-  on, interleaved min-of-N, and bounds the delta at 5%.  The watched
-  attribute accesses are real bookkeeping, but lifecycle work (pipe
-  setup, thread start/join, queue teardown) dominates, exactly as it
-  does in the serve tests.
 """
 
 from __future__ import annotations
@@ -25,13 +15,8 @@ from __future__ import annotations
 import time
 
 from repro.analysis.lint import default_target, lint_paths
-from repro.analysis.locksan import set_locksan
-from repro.serve.supervisor import WorkerSupervisor
 
 CONCSAN_BUDGET_SECONDS = 10.0
-LOCKSAN_OVERHEAD_BUDGET = 0.05
-ROUNDS = 3
-CYCLES_PER_ROUND = 8
 
 
 def test_concsan_whole_repo_under_budget():
@@ -52,60 +37,5 @@ def test_concsan_whole_repo_under_budget():
     )
 
 
-def _lifecycle_cycle() -> None:
-    """One suite-representative supervisor lifecycle: construct (two
-    real multiprocessing queues), start the monitor thread, queue a few
-    jobs, stop."""
-    sup = WorkerSupervisor(
-        settings={},
-        workers=0,
-        completion=lambda *args: None,
-        listener=lambda name, **fields: None,
-    )
-    sup.start()
-    for index in range(4):
-        sup.submit(f"job-{index}", {"workload": "bfs", "dataset": "d"})
-    sup.stop()
-
-
-def _run_cycles(count: int) -> float:
-    start = time.perf_counter()
-    for _ in range(count):
-        _lifecycle_cycle()
-    return time.perf_counter() - start
-
-
-def test_locksan_on_suite_overhead():
-    _run_cycles(2)  # warm-up: queue/thread machinery
-    off: list[float] = []
-    on: list[float] = []
-    try:
-        for round_index in range(ROUNDS):
-            # Alternate order so drift within a round cancels.
-            pair = [(off, False), (on, True)]
-            if round_index % 2:
-                pair.reverse()
-            for bucket, enabled in pair:
-                set_locksan(enabled)
-                bucket.append(_run_cycles(CYCLES_PER_ROUND))
-    finally:
-        set_locksan(None)
-    best_off = min(off)
-    best_on = min(on)
-    overhead = best_on / best_off - 1.0
-    print(
-        f"\nLockSan-on serve-lifecycle overhead (min of {ROUNDS}):"
-        f"\n  REPRO_LOCKSAN off : {best_off * 1e3:8.1f} ms"
-        f"\n  REPRO_LOCKSAN on  : {best_on * 1e3:8.1f} ms"
-        f"\n  overhead          : {overhead:+.2%}"
-        f"  (budget {LOCKSAN_OVERHEAD_BUDGET:.0%})"
-    )
-    assert overhead < LOCKSAN_OVERHEAD_BUDGET, (
-        f"LockSan-on costs {overhead:.2%} on the serve lifecycle "
-        f"(budget {LOCKSAN_OVERHEAD_BUDGET:.0%})"
-    )
-
-
 if __name__ == "__main__":
     test_concsan_whole_repo_under_budget()
-    test_locksan_on_suite_overhead()

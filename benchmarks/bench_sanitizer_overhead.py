@@ -24,10 +24,10 @@ from __future__ import annotations
 import gc
 import time
 
-from repro.analysis.sanitizer import NullSanitizer
 from repro.config import scaled
 from repro.graph.datasets import load_dataset
 from repro.machine.machine import Machine
+from repro.mem.sanitizer import NullSanitizer
 from repro.mem.thp import ThpPolicy
 from repro.workloads.registry import create_workload
 

@@ -1,17 +1,10 @@
-"""Static analysis and runtime sanitization for the simulator.
+"""Static analysis for the simulator.
 
-Three halves:
-
-- :mod:`repro.analysis.lint` — AST-based repo-specific lint rules
-  (REP001–REP008, REP012 and REP013 per-file/project rules plus the
-  interprocedural ConcSan rules REP009–REP011) runnable as
-  ``python -m repro.analysis``;
-- :mod:`repro.analysis.sanitizer` — "MemSan", a runtime invariant
-  checker for the simulated memory subsystem, enabled with
-  ``REPRO_SANITIZE=1`` or ``--sanitize``;
-- :mod:`repro.analysis.locksan` — "LockSan", a runtime lockset
-  sanitizer (the dynamic twin of REP009), enabled with
-  ``REPRO_LOCKSAN=1``.
+:mod:`repro.analysis.lint` — AST-based repo-specific lint rules
+(REP001–REP008, REP012 and REP013 per-file/project rules plus the
+interprocedural ConcSan rules REP009–REP011) runnable as
+``python -m repro.analysis``.  The runtime memory sanitizer, MemSan,
+lives with the subsystem it checks, in :mod:`repro.mem.sanitizer`.
 """
 
 from __future__ import annotations
@@ -19,46 +12,14 @@ from __future__ import annotations
 from .baseline import apply_baseline, load_baseline, render_baseline
 from .findings import ALL_RULES, RULE_SUMMARIES, Finding
 from .lint import lint_paths, lint_text
-from .locksan import (
-    LockSanFinding,
-    LockSanitizer,
-    TrackedLock,
-    get_locksan,
-    held_locks,
-    locksan_enabled,
-    make_lock,
-    set_locksan,
-    watch,
-)
-from .sanitizer import (
-    MemSanitizer,
-    NullSanitizer,
-    make_sanitizer,
-    sanitizer_enabled,
-    set_sanitize,
-)
 
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LockSanFinding",
-    "LockSanitizer",
-    "MemSanitizer",
-    "NullSanitizer",
     "RULE_SUMMARIES",
-    "TrackedLock",
     "apply_baseline",
-    "get_locksan",
-    "held_locks",
     "lint_paths",
     "lint_text",
     "load_baseline",
-    "locksan_enabled",
-    "make_lock",
-    "make_sanitizer",
     "render_baseline",
-    "sanitizer_enabled",
-    "set_locksan",
-    "set_sanitize",
-    "watch",
 ]

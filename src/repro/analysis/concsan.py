@@ -13,8 +13,7 @@ and runs three rule families over it:
   helper only ever called under the lock *is* lock-protected, even when
   the call crosses a module boundary), and any mutable attribute
   accessed both under its inferred guarding lock and outside it is
-  flagged at the unguarded site.  The runtime twin is
-  :mod:`repro.analysis.locksan`.
+  flagged at the unguarded site.
 - **REP010 (fork/spawn safety)** — flags process creation while a lock
   is held (the forked child inherits a copy of the locked lock; any
   waiter in the child deadlocks forever), bound-method ``Process``
@@ -57,7 +56,7 @@ LOCK_FACTORY_SUFFIXES = ("Lock", "RLock")
 """Constructor name suffixes that bind a mutual-exclusion lock."""
 
 LOCK_FACTORY_NAMES = frozenset({"make_lock"})
-"""Factory functions (repro.analysis.locksan.make_lock) returning locks."""
+"""Factory function names treated as returning a lock."""
 
 SYNC_SAFE_SUFFIXES = (
     "Queue",

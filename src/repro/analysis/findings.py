@@ -84,7 +84,7 @@ RULE_SUMMARIES: dict[str, str] = {
         "lock discipline (ConcSan): attributes of lock-owning classes "
         "must not be accessed both under their inferred guarding lock "
         "and outside it (Eraser-style interprocedural lockset "
-        "inference; runtime twin: LockSan / REPRO_LOCKSAN=1)"
+        "inference)"
     ),
     "REP010": (
         "fork/spawn safety (ConcSan): no process creation while a lock "

@@ -134,6 +134,7 @@ from .obs import (
 )
 from .chaos import ChaosPlan, run_scenarios
 from .dist import DistConfig, DistCoordinator, WorkerConfig, work_loop
+from .dist.http import SweepClient
 from .runstate import RunJournal
 from .runstate.merge import (
     MergeConflictError,
@@ -141,7 +142,6 @@ from .runstate.merge import (
     merge_journals,
     write_merged,
 )
-from .serve import ServiceConfig, SweepClient
 from .tlb import (
     TLB_ENGINES,
     BatchTranslationHierarchy,
@@ -192,7 +192,6 @@ __all__ = [
     "RunMetrics",
     "SCENARIOS",
     "Scenario",
-    "ServiceConfig",
     "Sssp",
     "SweepClient",
     "TLB_ENGINES",

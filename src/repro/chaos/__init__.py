@@ -1,4 +1,4 @@
-"""repro.chaos — deterministic process-level adversity (docs/service.md).
+"""repro.chaos — deterministic process-level adversity (docs/distributed.md).
 
 The simulator's fault injector (:mod:`repro.faults`) perturbs code
 *inside* a process; this package perturbs the processes themselves,
@@ -6,17 +6,18 @@ on exactly counted schedules:
 
 - :mod:`repro.chaos.plan` — :class:`ChaosPlan`: the
   ``action:point:ordinal`` grammar (``kill-worker:cell:N``,
-  ``kill-server:append:N``, ``enospc:append:N``).
+  ``kill-server:append:N``, ``enospc:append:N``, ``drop``/``delay``/
+  ``sever`` network points).
 - :mod:`repro.chaos.journal` — :class:`ChaosJournal`: a run journal
   that tears or refuses appends on cue.
 - :mod:`repro.chaos.crash` — ``python -m repro.chaos.crash``: run any
   CLI command with a SIGKILL bomb at one counted crash point.
-- :mod:`repro.chaos.harness` — the ``repro chaos`` scenarios asserting
-  the service's recovery invariants (byte identity, exactly-once,
-  ladder/breaker visibility).
+- :mod:`repro.chaos.dist_scenarios` — the ``repro chaos`` scenarios
+  asserting the distributed layer's recovery invariants (exactly-once,
+  partition tolerance, byte identity, split-brain refusal).
 """
 
-from .harness import SCENARIOS, ChaosServer, run_scenarios
+from .dist_scenarios import SCENARIOS, run_scenarios
 from .journal import ChaosJournal
 from .plan import ChaosAction, ChaosPlan
 
@@ -25,6 +26,5 @@ __all__ = [
     "ChaosAction",
     "ChaosJournal",
     "ChaosPlan",
-    "ChaosServer",
     "run_scenarios",
 ]

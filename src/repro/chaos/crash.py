@@ -20,7 +20,7 @@ or with the wrapped command's exit code when the ordinal is never
 reached — which the chaos tests use as the "crash points exhausted"
 signal to stop iterating.
 
-This module exists for tests and the chaos harness; it deliberately
+This module exists for the crash-recovery tests; it deliberately
 reuses the *real* CLI entry point so a crash interrupts exactly the
 code paths users run.
 """

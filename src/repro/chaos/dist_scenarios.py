@@ -1,8 +1,8 @@
-"""Distributed chaos scenarios: the ``repro.dist`` layer under fire.
+"""Chaos scenarios: the ``repro.dist`` layer under process and
+network adversity, asserted.
 
-Five scenarios extend the chaos harness to the coordinator/worker
-topology (``repro figure --distribute`` + ``repro work``), asserting
-the distributed layer's core invariants:
+Five scenarios drive the coordinator/worker topology (``repro figure
+--distribute`` + ``repro work``) and assert its core invariants:
 
 1. **Exactly-once under re-lease** — a worker SIGKILLed mid-cell loses
    its lease; the cell is re-leased and executes again, but the figure
@@ -19,10 +19,9 @@ the distributed layer's core invariants:
 5. **Graceful local degradation** — a coordinator that never hears
    from any worker runs the whole sweep locally, byte-identical.
 
-Like every other chaos scenario, adversity is scheduled at counted
-ordinals (:mod:`repro.chaos.plan`) — the wall-clock waits are
-observation timeouts, not randomness.  Registered into the harness's
-``SCENARIOS`` table, so ``repro chaos dist-lease-expiry`` etc. work.
+Adversity is scheduled at counted ordinals (:mod:`repro.chaos.plan`)
+— the wall-clock waits are observation timeouts, not randomness.  Run
+them via ``repro chaos [SCENARIO...]`` or :func:`run_scenarios`.
 """
 
 from __future__ import annotations
@@ -644,10 +643,38 @@ def scenario_dist_local_degrade(
     return {"cells": len(results)}
 
 
-DIST_SCENARIOS: dict[str, Callable[..., dict[str, Any]]] = {
+SCENARIOS: dict[str, Callable[..., dict[str, Any]]] = {
     "dist-lease-expiry": scenario_dist_lease_expiry,
     "dist-worker-partition": scenario_dist_worker_partition,
     "dist-coordinator-kill": scenario_dist_coordinator_kill,
     "dist-split-brain": scenario_dist_split_brain,
     "dist-local-degrade": scenario_dist_local_degrade,
 }
+
+
+def run_scenarios(
+    names: list[str],
+    workdir: str,
+    log: Log = _quiet,
+) -> list[dict[str, Any]]:
+    """Run the named scenarios, each in its own subdirectory.
+
+    Returns one report per scenario; the first broken invariant raises
+    :class:`~repro.errors.ChaosError` (scenarios after it do not run —
+    chaos runs are diagnostic, not best-effort).
+    """
+    unknown = [name for name in names if name not in SCENARIOS]
+    if unknown:
+        raise ChaosError(
+            f"unknown scenario(s) {', '.join(unknown)}; known: "
+            + ", ".join(SCENARIOS)
+        )
+    reports = []
+    for name in names:
+        subdir = os.path.join(workdir, name.replace("-", "_"))
+        os.makedirs(subdir, exist_ok=True)
+        log(f"=== scenario {name} ===")
+        detail = SCENARIOS[name](subdir, log=log)
+        reports.append({"scenario": name, "ok": True, **detail})
+        log(f"=== scenario {name}: OK ===")
+    return reports

@@ -1,7 +1,7 @@
 """A :class:`~repro.runstate.journal.RunJournal` that fails on cue.
 
-:class:`ChaosJournal` is what a chaos-armed server (``repro serve
---chaos ...``) writes through: it counts appends and consults the
+:class:`ChaosJournal` is what a chaos-armed figure (``repro figure
+--journal PATH --chaos ...``) writes through: it counts appends and consults the
 :class:`~repro.chaos.plan.ChaosPlan` before each one, so disk-full and
 crash-mid-append adversity lands at an exact, reproducible record.
 """

@@ -8,16 +8,16 @@ random.
 
 Grammar (comma list): ``action:point:ordinal``
 
-- ``kill-worker:cell:N`` — the worker executing the N-th task
-  *dispatch* SIGKILLs itself mid-cell (redeliveries count as
+- ``kill-worker:cell:N`` — a ``repro work`` agent SIGKILLs itself
+  mid-cell on its N-th task *dispatch* (re-leases count as
   dispatches, so a plan can also kill the retry).
-- ``kill-server:append:N`` — the server tears the N-th journal append
-  (writes half the record, fsyncs, then SIGKILLs itself) — a crash
-  mid-``journal.write``, one level below the ``journal.write`` fault
-  site because the *process* dies too.
+- ``kill-server:append:N`` — the journal-owning process (``repro
+  figure --chaos``, e.g. a ``--distribute`` coordinator) tears the
+  N-th journal append (writes half the record, fsyncs, then SIGKILLs
+  itself) — a crash mid-``journal.write``, one level below the
+  ``journal.write`` fault site because the *process* dies too.
 - ``enospc:append:N`` — journal appends fail with ``ENOSPC`` from the
-  N-th onward (the disk stays "full"), driving the service's
-  cached-only degradation.
+  N-th onward (the disk stays "full").
 - ``drop:net.connect:N`` / ``drop:net.send:N`` / ``drop:net.recv:N`` —
   the N-th network operation *at that point* fails with a connection
   error (one lost packet/refused dial, exactly once).
@@ -131,7 +131,7 @@ class ChaosPlan:
         )
 
     def kill_server_at_append(self, append_ordinal: int) -> bool:
-        """True when this journal append must tear and kill the server."""
+        """True when this journal append must tear and kill the process."""
         return any(
             a.action == ACTION_KILL_SERVER and a.ordinal == append_ordinal
             for a in self.actions

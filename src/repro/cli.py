@@ -33,7 +33,7 @@ Subcommands:
 ``work``
     Remote sweep worker: pulls leased cells from a ``figure
     --distribute`` coordinator and streams results back (see
-    docs/service.md, "Distributed sweeps").
+    docs/distributed.md).
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_runner(args: argparse.Namespace):
-    from .analysis.sanitizer import set_sanitize
     from .experiments import ExperimentRunner, RunConfig
+    from .mem.sanitizer import set_sanitize
 
     run_config = RunConfig.from_cli(args)
     if run_config.sanitize:
@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shard the sweep across remote 'repro work' agents: "
         "listen on ADDR (socket path or host:port) and lease cells "
         "to pulling workers; degrades to local execution when no "
-        "worker is reachable (see docs/service.md)",
+        "worker is reachable (see docs/distributed.md)",
     )
     figure.add_argument(
         "--lease-seconds", type=float, default=5.0, metavar="SECONDS",
@@ -394,109 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--dataset", default="kron-s")
     _add_common_machine_args(advise)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the resilient sweep service (see docs/service.md)",
-    )
-    serve.add_argument(
-        "--journal", required=True, metavar="PATH",
-        help="run journal backing the result store (pidfile-locked for "
-        "the server's lifetime)",
-    )
-    serve.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="listen on a UNIX-domain socket (preferred for local use)",
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="TCP listen host (when no --socket)")
-    serve.add_argument("--port", type=int, default=7341,
-                       help="TCP listen port (default: 7341)")
-    serve.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes (clamped to CPUs; 1 starts on the "
-        "ladder's serial rung; default: 2)",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=8, metavar="N",
-        help="admission bound on in-flight specs; beyond it "
-        "submissions get 429 + Retry-After (default: 8)",
-    )
-    serve.add_argument(
-        "--max-job-attempts", type=int, default=2, metavar="N",
-        help="dispatches per job before a worker-crash loop is "
-        "surfaced as a failure (default: 2)",
-    )
-    serve.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
-        help="failures before a spec is quarantined (default: 3)",
-    )
-    serve.add_argument(
-        "--breaker-cooldown", type=float, default=60.0, metavar="SECONDS",
-        help="quarantine period before one probe is admitted "
-        "(default: 60)",
-    )
-    serve.add_argument(
-        "--heartbeat-interval", type=float, default=0.1, metavar="SECONDS",
-        help="worker heartbeat period (default: 0.1)",
-    )
-    serve.add_argument(
-        "--heartbeat-timeout", type=float, default=5.0, metavar="SECONDS",
-        help="heartbeat silence treated as a wedged worker "
-        "(default: 5)",
-    )
-    serve.add_argument(
-        "--restart-backoff-base", type=float, default=0.1,
-        metavar="SECONDS",
-        help="base of the bounded exponential restart backoff "
-        "(default: 0.1)",
-    )
-    serve.add_argument(
-        "--restart-backoff-max", type=float, default=5.0,
-        metavar="SECONDS",
-        help="cap on the restart backoff (default: 5)",
-    )
-    serve.add_argument(
-        "--degrade-restart-threshold", type=int, default=3, metavar="N",
-        help="worker restarts within --degrade-window that step the "
-        "degradation ladder (default: 3)",
-    )
-    serve.add_argument(
-        "--degrade-window", type=float, default=30.0, metavar="SECONDS",
-        help="sliding window for the restart rate (default: 30)",
-    )
-    serve.add_argument(
-        "--pagerank-iterations", type=int, default=3, metavar="N",
-        help="PageRank iteration cap, part of cell identity "
-        "(default: 3)",
-    )
-    serve.add_argument(
-        "--cell-cycles", type=int, default=None, metavar="CYCLES",
-        help="watchdog: cap on simulated cycles per cell",
-    )
-    serve.add_argument(
-        "--cell-deadline", type=float, default=None, metavar="SECONDS",
-        help="watchdog: wall-clock deadline per cell",
-    )
-    serve.add_argument(
-        "--chaos", default=None, metavar="PLAN",
-        help="deterministic chaos plan (tests only): comma list of "
-        "action:point:ordinal, e.g. 'kill-worker:cell:1,"
-        "enospc:append:3'; see docs/service.md",
-    )
-    _add_common_machine_args(serve)
-    serve.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="max retries per cell for injected faults (default: 2)",
-    )
-    serve.add_argument(
-        "--cell-budget", type=int, default=None, metavar="ACCESSES",
-        help="cap on simulated accesses per cell",
-    )
-
     work = sub.add_parser(
         "work",
         help="run a remote sweep worker: pull leased cells from a "
-        "'repro figure --distribute' coordinator (see docs/service.md)",
+        "'repro figure --distribute' coordinator (see docs/distributed.md)",
     )
     work.add_argument(
         "--connect", required=True, metavar="ADDR",
@@ -552,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="run the deterministic chaos scenarios against a real "
-        "server (see docs/service.md)",
+        "coordinator and workers (see docs/distributed.md)",
     )
     chaos.add_argument(
         "scenarios", nargs="*", metavar="SCENARIO",
@@ -862,16 +763,16 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         raise ReproError(f"runs {args.action} requires --journal PATH")
     if args.action == "gc":
         # Hold the pidfile lock for the whole compaction, not just a
-        # liveness check: a sweep or server starting between a check
-        # and the atomic rewrite could append records the rewrite
-        # would silently discard.
+        # liveness check: a sweep starting between a check and the
+        # atomic rewrite could append records the rewrite would
+        # silently discard.
         lock = PidLock(args.journal)
         try:
             lock.acquire()
         except JournalLockedError as error:
             raise ReproError(
-                f"refusing to gc {args.journal!r}: a running sweep or "
-                f"server owns the journal ({error}); stop it first or "
+                f"refusing to gc {args.journal!r}: a running sweep "
+                f"owns the journal ({error}); stop it first or "
                 "wait for it to finish"
             ) from error
         try:
@@ -971,46 +872,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import ServiceConfig
-    from .serve.server import serve as run_server
-
-    config = ServiceConfig(
-        journal_path=args.journal,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        max_job_attempts=args.max_job_attempts,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_seconds=args.breaker_cooldown,
-        heartbeat_interval_seconds=args.heartbeat_interval,
-        heartbeat_timeout_seconds=args.heartbeat_timeout,
-        restart_backoff_base_seconds=args.restart_backoff_base,
-        restart_backoff_max_seconds=args.restart_backoff_max,
-        degrade_restart_threshold=args.degrade_restart_threshold,
-        degrade_window_seconds=args.degrade_window,
-        profile=args.profile,
-        pagerank_iterations=args.pagerank_iterations,
-        retries=args.retries,
-        cell_budget=args.cell_budget,
-        cell_cycles=args.cell_cycles,
-        cell_deadline_seconds=args.cell_deadline,
-        chaos=args.chaos,
-    )
-    return run_server(config)
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
-    from .chaos.harness import SCENARIOS, run_scenarios
+    from .chaos import SCENARIOS, run_scenarios
 
     if args.list:
         for name, function in SCENARIOS.items():
             doc = (function.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:12s} {doc}")
+            print(f"{name:22s} {doc}")
         return 0
     names = list(args.scenarios) or list(SCENARIOS)
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
@@ -1026,7 +896,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             for key, value in sorted(report.items())
             if key not in ("scenario", "ok")
         )
-        print(f"{report['scenario']:12s} OK  {detail}")
+        print(f"{report['scenario']:22s} OK  {detail}")
     print(f"{len(reports)}/{len(names)} scenario(s) passed")
     return 0
 
@@ -1043,7 +913,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 COMMANDS = {
     "run": _cmd_run,
     "analyze": _cmd_analyze,
-    "serve": _cmd_serve,
     "chaos": _cmd_chaos,
     "figure": _cmd_figure,
     "tournament": _cmd_tournament,

@@ -1,16 +1,17 @@
 """Fault-tolerant distributed sweep sharding (``repro.dist``).
 
-The layer above the sweep service that shards one figure sweep across
-remote pull-based workers with exactly-once semantics under network
-failure:
+Shards one figure sweep across remote pull-based workers with
+exactly-once semantics under network failure:
 
 - :class:`DistCoordinator` — leases cells (deadline-bounded, heartbeat
   renewed), accepts results by spec fingerprint first-write-wins, and
-  degrades gracefully to local execution (one-way, like the service's
-  ladder) when no worker is reachable;
+  degrades gracefully to local execution (one-way) when no worker is
+  reachable;
 - :func:`work_loop` / :class:`WorkerConfig` — the ``repro work`` agent:
   pull a lease, verify the fingerprint, journal locally, simulate,
   stream the result back with an integrity hash;
+- :class:`SweepClient` / :class:`Response` (:mod:`repro.dist.http`) —
+  the minimal HTTP/1.1 wire both sides speak;
 - :class:`NetChaos` / :class:`ChaosClient` — deterministic network
   faults (``drop``/``delay``/``sever`` at counted ordinals) injected at
   the client's socket seams;
@@ -18,7 +19,7 @@ failure:
   (:mod:`repro.runstate.merge`): the union of the coordinator's and the
   workers' journal shards is the sweep's state, conflicts refuse.
 
-See ``docs/service.md`` ("Distributed sweeps") for the topology, the
+See ``docs/distributed.md`` for the topology, the
 lease lifecycle, and the failure matrix.
 """
 

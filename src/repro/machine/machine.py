@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.sanitizer import make_sanitizer
 from ..config import MachineConfig, scaled
 from ..core.plan import PlacementPlan
 from ..errors import CellBudgetExceededError
@@ -31,6 +30,7 @@ from ..mem.noise import BackgroundNoise
 from ..mem.page_cache import PageCache
 from ..mem.physical import PhysicalMemory
 from ..mem.profiler import PageProfiler
+from ..mem.sanitizer import make_sanitizer
 from ..mem.swap import SwapDevice
 from ..mem.thp import ThpPolicy
 from ..mem.vmm import VirtualMemoryManager

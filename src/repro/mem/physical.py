@@ -37,7 +37,7 @@ from ..faults.sites import FaultSite
 from .stats import KernelLedger
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
-    from ..analysis.sanitizer import MemSanitizer
+    from .sanitizer import MemSanitizer
 
 _AMBIENT = object()
 """Sentinel: resolve the sanitizer from REPRO_SANITIZE / set_sanitize()."""
@@ -505,9 +505,9 @@ class PhysicalMemory:
         self.ledger = KernelLedger(cost=config.cost)
         self.injector = injector
         if sanitizer is _AMBIENT:
-            # Deferred import: repro.analysis.sanitizer imports FrameState
+            # Deferred import: repro.mem.sanitizer imports FrameState
             # from this module, so the dependency must stay call-time.
-            from ..analysis.sanitizer import make_sanitizer
+            from .sanitizer import make_sanitizer
 
             sanitizer = make_sanitizer()
         self.sanitizer = sanitizer

@@ -34,7 +34,7 @@ from ..faults.injector import FaultInjector
 from ..faults.sites import FaultSite
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids cycles)
-    from ..analysis.sanitizer import MemSanitizer
+    from .sanitizer import MemSanitizer
     from ..obs.tracer import Tracer
     from ..policy.hooks import (
         DemoteCandidate,

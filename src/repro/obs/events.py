@@ -30,17 +30,13 @@ by the subsystem that emits them:
 - ``pool.*`` — the parallel sweep pool (sizing decisions),
 - ``harness.*`` — the experiment harness's resilience machinery
   (retries, absorbed failures, watchdog kills),
-- ``server.*`` / ``queue.*`` / ``breaker.*`` / ``worker.*`` — the sweep
-  service (:mod:`repro.serve`): daemon lifecycle and degradation-ladder
-  transitions, admission control, the per-spec circuit breaker, and
-  worker supervision.  Service events are clocked by a logical monotone
-  counter rather than simulated cycles (the daemon has no single
-  simulated machine), which keeps them REP001-clean.
 - ``dist.*`` / ``net.*`` — the distributed sweep layer
   (:mod:`repro.dist`): lease lifecycle on the coordinator, result
   collection and dedup/conflict outcomes, degradation to local
   execution, and the deterministic network fault sites fired by the
-  chaos client.  Like service events these use a logical clock.
+  chaos client.  These are clocked by a logical monotone counter
+  rather than simulated cycles (the coordinator has no single
+  simulated machine), which keeps them REP001-clean.
 """
 
 from __future__ import annotations
@@ -100,27 +96,6 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
     "harness.cell_failure": {"cell": "name", "cause": "name",
                              "attempts": "count"},
     "harness.watchdog_kill": {"cell": "name"},
-    # -- sweep service: daemon lifecycle / degradation ladder ---------
-    "server.start": {"mode": "name", "workers": "count"},
-    "server.mode": {"from_mode": "name", "to_mode": "name",
-                    "reason": "name"},
-    "server.drain": {"pending": "count"},
-    "server.stop": {"served": "count"},
-    # -- sweep service: admission control / dedupe --------------------
-    "queue.enqueue": {"spec": "name", "depth": "count"},
-    "queue.reject": {"spec": "name", "depth": "count",
-                     "retry_after": "count"},
-    "queue.dedup": {"spec": "name", "waiters": "count"},
-    "queue.cached": {"spec": "name"},
-    # -- sweep service: per-spec circuit breaker ----------------------
-    "breaker.open": {"spec": "name", "failures": "count"},
-    "breaker.probe": {"spec": "name"},
-    "breaker.close": {"spec": "name"},
-    # -- sweep service: worker supervision ----------------------------
-    "worker.spawn": {"slot": "index", "pid": "count"},
-    "worker.exit": {"slot": "index", "pid": "count", "clean": "count"},
-    "worker.restart": {"slot": "index", "backoff_ms": "count"},
-    "worker.heartbeat_lost": {"slot": "index", "age_ms": "count"},
     # -- distributed sweeps: lease lifecycle --------------------------
     "dist.lease.grant": {"spec": "name", "worker": "name",
                          "attempt": "count"},

@@ -42,8 +42,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..analysis.sanitizer import sanitizer_enabled, set_sanitize
 from ..errors import ExperimentError
+from ..mem.sanitizer import sanitizer_enabled, set_sanitize
 from ..runstate.serialize import decode_result, encode_result
 
 if TYPE_CHECKING:

@@ -1,11 +1,10 @@
 """Pidfile-based liveness lock for run-state files.
 
-A journal is owned by at most one live process at a time: the sweep or
-server writing it.  Maintenance commands (``repro runs gc``) and a
-second ``repro serve`` on the same journal must *refuse* to touch a
-journal whose owner is still alive — compacting a file another process
-is appending to would corrupt the exactly-once accounting the chaos
-harness verifies.
+A journal is owned by at most one live process at a time: the sweep
+writing it.  Maintenance commands (``repro runs gc``) and a second
+sweep on the same journal must *refuse* to touch a journal whose owner
+is still alive — compacting a file another process is appending to
+would corrupt the exactly-once accounting the chaos scenarios verify.
 
 The lock is a sidecar file (``<journal>.lock``) containing the owner's
 PID.  Liveness is checked with ``os.kill(pid, 0)``: a lock whose owner

@@ -1,6 +1,6 @@
 """Crash-point recovery: SIGKILL anywhere, resume, identical bytes.
 
-The satellite invariant from docs/service.md: for every crash point —
+The invariant from docs/distributed.md: for every crash point —
 mid-cell or mid-journal-append (torn record) — a resumed run completes
 the figure and its saved JSON is **byte-identical** to an uninterrupted
 run.  The crash is injected with :mod:`repro.chaos.crash`, which

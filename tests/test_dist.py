@@ -1,12 +1,14 @@
 """Tests for repro.dist: address parsing, the lease table, wire
-encoding, network chaos, the client retry loop, and a small end-to-end
-coordinator/worker exchange over a UNIX socket."""
+encoding, network chaos, the HTTP wire and client retry loop, and a
+small end-to-end coordinator/worker exchange over a UNIX socket."""
 
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -24,14 +26,16 @@ from repro.dist import (
     LeaseTable,
     NetChaos,
     NetFaultError,
+    WorkerConfig,
     encode_cell,
     parse_connect,
+    work_loop,
 )
-from repro.errors import ConfigError, DistError, ServiceError
+from repro.dist.http import ClientResponse, Response, SweepClient
+from repro.errors import ConfigError, DistError
 from repro.experiments import ExperimentRunner, RunConfig
 from repro.experiments.parse import parse_policy, parse_scenario
 from repro.runstate.serialize import encode_result
-from repro.serve.client import ClientResponse, SweepClient
 
 
 def _runner() -> ExperimentRunner:
@@ -353,8 +357,132 @@ class TestRequestWithRetry:
 
     def test_rejects_bad_max_attempts(self):
         client = _ScriptedClient([])
-        with pytest.raises(ServiceError):
+        with pytest.raises(DistError):
             client.request_with_retry("POST", "/x", max_attempts=0)
+
+
+# ----------------------------------------------------------------------
+# HTTP wire: response rendering and truncated responses
+# ----------------------------------------------------------------------
+
+
+class TestResponse:
+    def test_body_renders_canonical_json(self):
+        rendered = Response(status=200, body={"b": 1, "a": 2}).render()
+        assert rendered == b'{"a":2,"b":1}\n'
+
+    def test_raw_wins_over_body(self):
+        rendered = Response(
+            status=200, body={"ignored": True}, raw='{"x":1}\n'
+        ).render()
+        assert rendered == b'{"x":1}\n'
+
+
+_FULL_REPLY = (
+    b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\nConnection: close\r\n\r\n"
+    b'{"ok":1}\n'
+)
+
+
+class _FakeSocket:
+    def close(self):
+        pass
+
+
+class _ReplayClient(SweepClient):
+    """A client whose exchanges replay canned byte replies, one reply
+    per request; ``_recv`` returns ``b""`` once a reply is used up, as
+    a peer that closed its end would."""
+
+    def __init__(self, replies):
+        super().__init__(host="127.0.0.1", port=1)
+        self.replies = list(replies)
+        self.calls = 0
+        self._pending = b""
+
+    def _connect(self):
+        self.calls += 1
+        self._pending = self.replies.pop(0)
+        return _FakeSocket()
+
+    def _send(self, sock, data):
+        pass
+
+    def _recv(self, sock, limit):
+        chunk, self._pending = self._pending[:limit], self._pending[limit:]
+        return chunk
+
+
+class TestTruncatedResponse:
+    def test_full_reply_parses(self):
+        response = _ReplayClient([_FULL_REPLY]).request("GET", "/x")
+        assert response.status == 200
+        assert response.body == {"ok": 1}
+
+    @pytest.mark.parametrize("reply", [
+        b"",                                   # closed before any byte
+        _FULL_REPLY[:20],                      # closed inside the headers
+        _FULL_REPLY[:-4],                      # closed inside the body
+    ], ids=["no-bytes", "partial-headers", "partial-body"])
+    def test_closed_peer_raises_connection_error(self, reply):
+        with pytest.raises(ConnectionError):
+            _ReplayClient([reply]).request("GET", "/x")
+
+    @pytest.mark.parametrize("reply", [b"", _FULL_REPLY[:-4]],
+                             ids=["no-bytes", "partial-body"])
+    def test_retry_recovers_from_truncation(self, reply):
+        sleeps = []
+        client = _ReplayClient([reply, _FULL_REPLY])
+        response = client.request_with_retry(
+            "GET", "/x", max_attempts=3, sleep=sleeps.append
+        )
+        assert response.status == 200
+        assert response.body == {"ok": 1}
+        assert client.calls == 2
+        assert len(sleeps) == 1
+
+
+class TestWorkerAgainstDyingCoordinator:
+    def test_closed_mid_reply_polls_then_idles_out(self, tmp_path):
+        """A coordinator that accepts, reads the request and closes
+        without replying is unreachable, not fatal: the worker keeps
+        polling and exits 0 after ``idle_exit_seconds``."""
+        sock_path = str(tmp_path / "coord.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(sock_path)
+        listener.listen(8)
+        listener.settimeout(0.05)
+        stop = threading.Event()
+        accepted = []
+
+        def accept_and_hang_up():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                accepted.append(conn.recv(65536))
+                conn.close()
+
+        thread = threading.Thread(target=accept_and_hang_up, daemon=True)
+        thread.start()
+        try:
+            code = work_loop(WorkerConfig(
+                connect=sock_path,
+                journal_path=str(tmp_path / "shard.jsonl"),
+                worker_id="w-test",
+                poll_interval=0.02,
+                idle_exit_seconds=0.3,
+                max_attempts=2,
+            ))
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+            listener.close()
+        assert not thread.is_alive()
+        assert code == 0
+        assert len(accepted) >= 2
+        assert all(b"/v1/dist/lease" in request for request in accepted)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Public API surface tests: everything the README and examples rely on
-must be importable from the top-level package, and the error taxonomy
-must be intact."""
+must be importable from the top-level package, the error taxonomy
+must be intact, and the simulator must not pull in the linter."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +48,22 @@ class TestTopLevelExports:
 
     def test_version(self):
         assert repro.__version__
+
+    def test_machine_import_loads_no_analysis_module(self):
+        """The simulator (MemSan included) stands apart from the static
+        analyzer: ``import repro.machine`` must not load it."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.machine; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'repro.analysis' or m.startswith('repro.analysis.')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestErrorTaxonomy:

@@ -1,9 +1,9 @@
 """Tests for the journal pidfile lock and the `repro runs gc` guard.
 
-The lock serializes journal *owners*: a live sweep or server owns its
-journal, and maintenance (`runs gc`) or a second writer must refuse to
-touch it while the owner is alive.  Stale locks (dead owners — crashed
-or SIGKILLed runs) are broken silently: crash recovery never requires
+The lock serializes journal *owners*: a live sweep owns its journal,
+and maintenance (`runs gc`) or a second writer must refuse to touch it
+while the owner is alive.  Stale locks (dead owners — crashed or
+SIGKILLed runs) are broken silently: crash recovery never requires
 manual cleanup.
 """
 

@@ -11,18 +11,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import (
+from repro.config import tiny
+from repro.errors import MemSanError, ReproError
+from repro.graph.generators import uniform_graph
+from repro.machine.machine import Machine
+from repro.mem.physical import FrameState, NodeMemory, PhysicalMemory
+from repro.mem.sanitizer import (
     MemSanitizer,
     NullSanitizer,
     make_sanitizer,
     sanitizer_enabled,
     set_sanitize,
 )
-from repro.config import tiny
-from repro.errors import MemSanError, ReproError
-from repro.graph.generators import uniform_graph
-from repro.machine.machine import Machine
-from repro.mem.physical import FrameState, NodeMemory, PhysicalMemory
 from repro.mem.stats import KernelLedger
 from repro.mem.thp import ThpPolicy
 from repro.mem.vmm import VirtualMemoryManager
