@@ -56,19 +56,13 @@ class Fragmenter:
                 f"need {regions_needed} pristine regions to fragment "
                 f"{level:.0%} of free memory, only {pristine.size} exist"
             )
-        sentinels = []
-        for region in pristine[:regions_needed]:
-            frames = node.region_frames(int(region))
-            first = frames.start
-            # Claim the whole region, then free all but the first page,
-            # leaving a non-movable sentinel (the paper's mechanism).
-            node.state[frames] = int(FrameState.NONMOVABLE)
-            node.owner_id[frames] = self.owner_id
-            rest = np.arange(first + 1, frames.stop, dtype=np.int64)
-            node.free_frames(rest)
-            sentinels.append(first)
+        # The paper's tool claims each whole region and frees all but its
+        # first page; the net effect is one non-movable sentinel at the
+        # start of each region.
+        sentinels = pristine[:regions_needed] * fpr
+        node.place_frames(sentinels, self.owner_id, FrameState.NONMOVABLE)
         self.sentinel_frames = np.concatenate(
-            [self.sentinel_frames, np.array(sentinels, dtype=np.int64)]
+            [self.sentinel_frames, sentinels]
         )
         return regions_needed
 

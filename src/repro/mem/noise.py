@@ -85,9 +85,7 @@ class BackgroundNoise:
         ]
         offsets = rng.integers(0, fpr, size=take)
         frames = chosen * fpr + offsets
-        node.state[frames] = int(state)
-        node.owner_id[frames] = self.owner_id
-        node.reclaimable[frames] = False
+        node.place_frames(frames, self.owner_id, state)
         if state is FrameState.MOVABLE:
             self._movable.update(int(f) for f in frames)
         else:

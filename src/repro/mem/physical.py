@@ -102,9 +102,13 @@ class NodeMemory:
         self.reclaimable = np.zeros(self.num_frames, dtype=bool)
         self._owners: dict[int, FrameOwner] = {}
         self._next_owner_id = 0
-        self._region_starts = np.arange(
-            0, self.num_frames, self.frames_per_region
+        # Free frames per huge region and in total, kept exact at every
+        # state change below so no query rescans the frame map (MemSan's
+        # verify_node cross-checks both against a full rescan).
+        self._region_free = np.full(
+            self.num_regions, self.frames_per_region, dtype=np.int64
         )
+        self._free_total = self.num_frames
 
     # ------------------------------------------------------------------
     # Owner registry
@@ -124,7 +128,7 @@ class NodeMemory:
     @property
     def free_frame_count(self) -> int:
         """Number of free frames on this node."""
-        return int(np.count_nonzero(self.state == FrameState.FREE))
+        return self._free_total
 
     @property
     def free_bytes(self) -> int:
@@ -133,15 +137,18 @@ class NodeMemory:
 
     def region_free_counts(self) -> np.ndarray:
         """Free-frame count per huge region (length ``num_regions``)."""
-        free = (self.state == FrameState.FREE).astype(np.int64)
-        return np.add.reduceat(free, self._region_starts)
+        return self._region_free.copy()
 
     def pristine_region_count(self) -> int:
         """Number of fully free huge regions."""
         return int(
-            np.count_nonzero(
-                self.region_free_counts() == self.frames_per_region
-            )
+            np.count_nonzero(self._region_free == self.frames_per_region)
+        )
+
+    def per_region_sum(self, frame_mask: np.ndarray) -> np.ndarray:
+        """Count of set frames in ``frame_mask`` per huge region."""
+        return frame_mask.reshape(-1, self.frames_per_region).sum(
+            axis=1, dtype=np.int64
         )
 
     def region_of(self, frame: int) -> int:
@@ -161,8 +168,8 @@ class NodeMemory:
         region exists.  0.0 means all free memory is in pristine regions;
         1.0 means none of it is.
         """
-        counts = self.region_free_counts()
-        free_total = int(counts.sum())
+        counts = self._region_free
+        free_total = self._free_total
         if free_total == 0:
             return 0.0
         pristine_free = int(
@@ -180,14 +187,12 @@ class NodeMemory:
         owner_id: int,
         state: FrameState = FrameState.MOVABLE,
         reclaimable: bool = False,
-        prefer_broken: bool = True,
     ) -> np.ndarray:
         """Allocate ``count`` base frames; returns their indices.
 
-        With ``prefer_broken`` (the default, mirroring the buddy
-        allocator's preference for splitting already-broken blocks) frames
-        are taken from partially used regions before pristine regions are
-        broken up.
+        Mirroring the buddy allocator's preference for splitting
+        already-broken blocks, frames are taken from partially used
+        regions before pristine regions are broken up.
 
         Raises:
             OutOfMemoryError: if fewer than ``count`` frames are free.
@@ -196,17 +201,12 @@ class NodeMemory:
             return np.empty(0, dtype=np.int64)
         if self.injector is not None:
             self.injector.check(FaultSite.ALLOC)
-        free_mask = self.state == FrameState.FREE
-        total_free = int(np.count_nonzero(free_mask))
-        if total_free < count:
+        if self._free_total < count:
             raise OutOfMemoryError(
                 f"node {self.node_id}: need {count} frames, "
-                f"only {total_free} free"
+                f"only {self._free_total} free"
             )
-        if prefer_broken:
-            chosen = self._pick_broken_first(free_mask, count)
-        else:
-            chosen = np.flatnonzero(free_mask)[:count]
+        chosen = self._pick_broken_first(self._region_free, count)
         if self.sanitizer is not None:
             self.sanitizer.on_alloc_frames(self, chosen, state)
         self.state[chosen] = int(state)
@@ -214,35 +214,56 @@ class NodeMemory:
         self.reclaimable[chosen] = reclaimable
         return chosen
 
+    def place_frames(
+        self,
+        frames: np.ndarray,
+        owner_id: int,
+        state: FrameState,
+        reclaimable: bool = False,
+    ) -> None:
+        """Allocate the caller-chosen free ``frames`` (the ``frag`` and
+        noise tools plant pages at exact positions)."""
+        frames = np.asarray(frames, dtype=np.int64)
+        if self.sanitizer is not None:
+            self.sanitizer.on_alloc_frames(self, frames, state)
+        self._shift_free(frames[self.state[frames] == FrameState.FREE], -1)
+        self.state[frames] = int(state)
+        self.owner_id[frames] = owner_id
+        self.reclaimable[frames] = reclaimable
+
     def _pick_broken_first(
-        self, free_mask: np.ndarray, count: int
+        self, counts: np.ndarray, count: int
     ) -> np.ndarray:
-        """Pick free frames from the most-used regions first."""
-        counts = self.region_free_counts()
-        # Regions with some free frames, ordered: partially-used regions
-        # (fewest free frames first) before pristine regions.
-        has_free = counts > 0
-        pristine = counts == self.frames_per_region
-        partial = has_free & ~pristine
-        order = np.concatenate(
-            [
-                np.flatnonzero(partial)[np.argsort(counts[partial], kind="stable")],
-                np.flatnonzero(pristine),
-            ]
-        )
-        chosen_parts: list[np.ndarray] = []
-        remaining = count
+        """Take ``count`` free frames, most-used regions first, and debit
+        them from the free counters.
+
+        ``counts`` is the free count per region to pick from (the live
+        counters, or a copy with regions excluded).  Partially used
+        regions come first, fewest free frames first, then pristine
+        regions; ties keep region order, and frames within a region are
+        taken in ascending order.
+        """
         fpr = self.frames_per_region
-        for region in order:
-            start = region * fpr
-            local = np.flatnonzero(free_mask[start : start + fpr]) + start
-            if local.size > remaining:
-                local = local[:remaining]
-            chosen_parts.append(local)
-            remaining -= local.size
-            if remaining == 0:
-                break
-        return np.concatenate(chosen_parts)
+        has_free = np.flatnonzero(counts)
+        # Stable sort by free count: pristine regions (count == fpr) sort
+        # after every partial one and keep their index order.
+        order = has_free[np.argsort(counts[has_free], kind="stable")]
+        cum = np.cumsum(counts[order])
+        if cum.size == 0 or cum[-1] < count:
+            raise OutOfMemoryError(
+                f"node {self.node_id}: cannot find {count} free frames"
+            )
+        k = int(np.searchsorted(cum, count)) + 1
+        regions = order[:k]
+        taken = counts[regions]
+        taken[-1] -= int(cum[k - 1]) - count
+        block = self.state.reshape(-1, fpr)[regions]
+        chosen = np.flatnonzero(block == FrameState.FREE)[:count]
+        # Block row i is region regions[i]: shift its offsets into place.
+        chosen += np.repeat((regions - np.arange(k)) * fpr, taken)
+        self._region_free[regions] -= taken
+        self._free_total -= count
+        return chosen
 
     # ------------------------------------------------------------------
     # Huge-page allocation
@@ -264,8 +285,7 @@ class NodeMemory:
         the caller decides whether that means "fall back to base pages"
         (THP policy) or "out of memory".
         """
-        counts = self.region_free_counts()
-        pristine = np.flatnonzero(counts == self.frames_per_region)
+        pristine = np.flatnonzero(self._region_free == self.frames_per_region)
         if pristine.size:
             region = int(pristine[0])
             return self._claim_region(region, owner_id, state)
@@ -286,6 +306,8 @@ class NodeMemory:
         if self.sanitizer is not None:
             self.sanitizer.on_claim_region(self, region, state)
         frames = self.region_frames(region)
+        self._free_total -= int(self._region_free[region])
+        self._region_free[region] = 0
         self.state[frames] = int(state)
         self.owner_id[frames] = owner_id
         self.reclaimable[frames] = False
@@ -301,21 +323,17 @@ class NodeMemory:
         allowed).  The candidate needing the least work is chosen, and its
         movable frames must fit in free frames *outside* the region.
         """
-        fpr = self.frames_per_region
         state = self.state
-        free_counts = self.region_free_counts()
-        movable = (state == FrameState.MOVABLE).astype(np.int64)
-        reclaim = (
-            (state == FrameState.MOVABLE) & self.reclaimable
-        ).astype(np.int64)
+        free_counts = self._region_free
+        movable = state == FrameState.MOVABLE
         blocked = (
             (state == FrameState.NONMOVABLE)
             | (state == FrameState.PINNED)
             | (state == FrameState.HUGE)
-        ).astype(np.int64)
-        movable_counts = np.add.reduceat(movable, self._region_starts)
-        reclaim_counts = np.add.reduceat(reclaim, self._region_starts)
-        blocked_counts = np.add.reduceat(blocked, self._region_starts)
+        )
+        movable_counts = self.per_region_sum(movable)
+        reclaim_counts = self.per_region_sum(movable & self.reclaimable)
+        blocked_counts = self.per_region_sum(blocked)
 
         migrate_counts = movable_counts - reclaim_counts
         eligible = blocked_counts == 0
@@ -330,7 +348,7 @@ class NodeMemory:
         # Least total work first: prefer dropping over migrating.
         work = migrate_counts[candidates] * 2 + reclaim_counts[candidates]
         order = candidates[np.argsort(work, kind="stable")]
-        total_free = int(free_counts.sum())
+        total_free = self._free_total
         for region in order:
             region = int(region)
             need_migrate = int(migrate_counts[region])
@@ -385,51 +403,25 @@ class NodeMemory:
 
     def _migration_targets(self, count: int, exclude_region: int) -> np.ndarray:
         """Free frames outside ``exclude_region``, broken regions first."""
-        free_mask = self.state == FrameState.FREE
-        frames = self.region_frames(exclude_region)
-        free_mask[frames] = False
-        return self._pick_broken_first_masked(free_mask, count)
-
-    def _pick_broken_first_masked(
-        self, free_mask: np.ndarray, count: int
-    ) -> np.ndarray:
-        """Like :meth:`_pick_broken_first` but for a caller-supplied mask."""
-        free = free_mask.astype(np.int64)
-        counts = np.add.reduceat(free, self._region_starts)
-        has_free = counts > 0
-        pristine = counts == self.frames_per_region
-        partial = has_free & ~pristine
-        order = np.concatenate(
-            [
-                np.flatnonzero(partial)[np.argsort(counts[partial], kind="stable")],
-                np.flatnonzero(pristine),
-            ]
-        )
-        chosen_parts: list[np.ndarray] = []
-        remaining = count
-        fpr = self.frames_per_region
-        for region in order:
-            start = region * fpr
-            local = np.flatnonzero(free_mask[start : start + fpr]) + start
-            if local.size > remaining:
-                local = local[:remaining]
-            chosen_parts.append(local)
-            remaining -= local.size
-            if remaining == 0:
-                break
-        if remaining:
-            raise OutOfMemoryError(
-                f"node {self.node_id}: cannot find {count} migration targets"
-            )
-        return np.concatenate(chosen_parts)
+        counts = self._region_free.copy()
+        counts[exclude_region] = 0
+        return self._pick_broken_first(counts, count)
 
     # ------------------------------------------------------------------
     # Freeing / pinning
     # ------------------------------------------------------------------
 
+    def _shift_free(self, frames: np.ndarray, delta: int) -> None:
+        """Add ``delta`` per frame to the free counters of ``frames``."""
+        np.add.at(self._region_free, frames // self.frames_per_region, delta)
+        self._free_total += delta * int(frames.size)
+
     def _release(self, frame: int) -> None:
         if self.sanitizer is not None:
             self.sanitizer.on_release_frame(self, frame)
+        if self.state[frame] != FrameState.FREE:
+            self._region_free[frame // self.frames_per_region] += 1
+            self._free_total += 1
         self.state[frame] = int(FrameState.FREE)
         self.owner_id[frame] = -1
         self.reclaimable[frame] = False
@@ -458,6 +450,8 @@ class NodeMemory:
         """Return the given frames to the free pool."""
         if self.sanitizer is not None:
             self.sanitizer.on_free_frames(self, frames)
+        frames = np.asarray(frames, dtype=np.int64)
+        self._shift_free(frames[self.state[frames] != FrameState.FREE], 1)
         self.state[frames] = int(FrameState.FREE)
         self.owner_id[frames] = -1
         self.reclaimable[frames] = False
@@ -467,6 +461,10 @@ class NodeMemory:
         if self.sanitizer is not None:
             self.sanitizer.on_free_huge_region(self, region)
         frames = self.region_frames(region)
+        self._free_total += self.frames_per_region - int(
+            self._region_free[region]
+        )
+        self._region_free[region] = self.frames_per_region
         self.state[frames] = int(FrameState.FREE)
         self.owner_id[frames] = -1
         self.reclaimable[frames] = False
@@ -488,6 +486,8 @@ class NodeMemory:
         reclaimable."""
         if self.sanitizer is not None:
             self.sanitizer.on_pin_frames(self, frames)
+        frames = np.asarray(frames, dtype=np.int64)
+        self._shift_free(frames[self.state[frames] == FrameState.FREE], -1)
         self.state[frames] = int(FrameState.PINNED)
         self.reclaimable[frames] = False
 

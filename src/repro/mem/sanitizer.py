@@ -16,6 +16,8 @@ verifies the invariants the rest of the system silently relies on:
 - **VMM ↔ physical cross-checks** — every resident page is backed by a
   frame owned by its VMM (or its hugetlb pool), huge chunks map exactly
   their region's frames, and the reverse frame map is a bijection;
+- **free-count bookkeeping** — the allocator's per-region and total
+  free-frame counters equal a full rescan of the frame map;
 - **leak detection** — at machine teardown no frame is still owned by
   the released process and the reverse map is empty.
 
@@ -288,8 +290,7 @@ class MemSanitizer:
                 f"node {node.node_id}: non-MOVABLE frames {bad.tolist()} "
                 "flagged reclaimable"
             )
-        huge = (state == int(FrameState.HUGE)).astype(np.int64)
-        huge_counts = np.add.reduceat(huge, node._region_starts)
+        huge_counts = node.per_region_sum(state == int(FrameState.HUGE))
         fpr = node.frames_per_region
         ragged = (huge_counts != 0) & (huge_counts != fpr)
         if ragged.any():
@@ -306,6 +307,23 @@ class MemSanitizer:
                     f"node {node.node_id}: HUGE region {int(region)} has "
                     f"mixed owners {owners.tolist()}"
                 )
+        # Last, so a corrupted frame map fails on its own message first.
+        rescan = node.per_region_sum(free)
+        drift = np.flatnonzero(rescan != node._region_free)
+        if drift.size:
+            bad = drift[:8]
+            self._fail(
+                f"node {node.node_id}: _region_free disagrees with a "
+                f"rescan in regions {bad.tolist()} (counter "
+                f"{node._region_free[bad].tolist()}, rescan "
+                f"{rescan[bad].tolist()})"
+            )
+        total = int(np.count_nonzero(free))
+        if node._free_total != total:
+            self._fail(
+                f"node {node.node_id}: _free_total is {node._free_total} "
+                f"but a rescan finds {total} free frames"
+            )
 
     def verify_vmm(self, vmm: "VirtualMemoryManager") -> None:
         """Cross-check every VMA's page tables against the frame map."""

@@ -53,13 +53,13 @@ class PolicyView:
     def pristine_regions(self) -> int:
         """Completely free huge-page-sized regions (allocatable without
         compaction)."""
-        return int(self._vmm.node.pristine_region_count)
+        return int(self._vmm.node.pristine_region_count())
 
     @property
     def fragmentation_level(self) -> float:
         """The node's fragmentation metric (0 = contiguous free memory,
         1 = every free frame stranded in a broken region)."""
-        return float(self._vmm.node.fragmentation_level)
+        return float(self._vmm.node.fragmentation_level())
 
     # -- address space -------------------------------------------------
 

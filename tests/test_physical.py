@@ -94,8 +94,7 @@ class TestHugeAllocation:
         fpr = node.frames_per_region
         # One movable page at the start of every region.
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.MOVABLE)
-        node.owner_id[firsts] = owner
+        node.place_frames(firsts, owner, FrameState.MOVABLE)
         assert node.pristine_region_count() == 0
         region = node.alloc_huge_region(owner)
         assert region is not None
@@ -107,8 +106,7 @@ class TestHugeAllocation:
         owner = node.register_owner(recorder)
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.MOVABLE)
-        node.owner_id[firsts] = owner
+        node.place_frames(firsts, owner, FrameState.MOVABLE)
         assert (
             node.alloc_huge_region(owner, allow_compaction=False,
                                    allow_reclaim=False)
@@ -120,8 +118,7 @@ class TestHugeAllocation:
         owner = node.register_owner(recorder)
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.NONMOVABLE)
-        node.owner_id[firsts] = owner
+        node.place_frames(firsts, owner, FrameState.NONMOVABLE)
         assert node.alloc_huge_region(owner) is None
 
     def test_huge_frames_block_compaction(self, node):
@@ -142,9 +139,9 @@ class TestHugeAllocation:
         owner = node.register_owner(recorder)
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.MOVABLE)
-        node.owner_id[firsts] = owner
-        node.reclaimable[firsts] = True
+        node.place_frames(
+            firsts, owner, FrameState.MOVABLE, reclaimable=True
+        )
         region = node.alloc_huge_region(
             owner, allow_compaction=False, allow_reclaim=True
         )
@@ -160,14 +157,14 @@ class TestFragmentationMetric:
     def test_every_region_broken_is_one(self, node, owner):
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.NONMOVABLE)
+        node.place_frames(firsts, owner, FrameState.NONMOVABLE)
         assert node.fragmentation_level() == 1.0
 
     def test_partial(self, node, owner):
         fpr = node.frames_per_region
         half = node.num_regions // 2
         firsts = np.arange(0, half * fpr, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.NONMOVABLE)
+        node.place_frames(firsts, owner, FrameState.NONMOVABLE)
         level = node.fragmentation_level()
         # Half the regions have 1 page used: free memory in them is
         # (fpr-1)/fpr of half the total.

@@ -18,6 +18,7 @@ from repro.experiments.harness import ExperimentRunner
 from repro.experiments.parse import parse_policy
 from repro.experiments.policies import POLICIES, Policy
 from repro.experiments.scenarios import fresh
+from repro.mem.frag import Fragmenter
 from repro.mem.thp import ThpMode, ThpPolicy
 from repro.mem.vmm import VirtualMemoryManager
 from repro.policy import (
@@ -74,6 +75,16 @@ class TestPolicyView:
         snapshot = view.ledger_snapshot()
         snapshot.clear()  # a copy: clearing must not touch the ledger
         assert view.ledger_snapshot() != {} or snapshot == {}
+
+    def test_region_metrics_match_node(self, node, tiny_cfg):
+        view = make_vmm(node, tiny_cfg).policy_view
+        fragmenter = Fragmenter(node)
+        for level in (None, 0.5):
+            if level is not None:
+                fragmenter.fragment(level)
+            assert view.pristine_regions == node.pristine_region_count()
+            assert view.fragmentation_level == node.fragmentation_level()
+        assert view.fragmentation_level > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,18 @@ class TestNodeSweep:
         with pytest.raises(MemSanError, match="partially HUGE"):
             san.verify_node(san_node)
 
+    def test_state_write_bypassing_counters_detected(self, san_node, san):
+        frames = frames_of(san_node, 1)
+        san_node.state[frames] = int(FrameState.FREE)  # counters not told
+        san_node.owner_id[frames] = -1
+        with pytest.raises(MemSanError, match="_region_free"):
+            san.verify_node(san_node)
+
+    def test_free_total_drift_detected(self, san_node, san):
+        san_node._free_total -= 1
+        with pytest.raises(MemSanError, match="_free_total"):
+            san.verify_node(san_node)
+
 
 # ----------------------------------------------------------------------
 # VMM cross-checks
