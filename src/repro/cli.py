@@ -21,7 +21,8 @@ Subcommands:
     Sweep the policy zoo across scenario axes and rank a leaderboard
     (see docs/policies.md).
 ``datasets``
-    List the registry with Table 2 statistics.
+    List the registry (Table 2); ``datasets NAME...`` builds the named
+    graphs and prints their vertex, edge and degree statistics.
 ``advise``
     Print the page-size advisor's report for a dataset.
 ``profiles``
@@ -351,7 +352,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="(export) output path (default: TRACE with .json suffix)",
     )
 
-    sub.add_parser("datasets", help="list datasets (Table 2)")
+    datasets = sub.add_parser(
+        "datasets",
+        help="list datasets (Table 2); name some to build them and "
+        "print their graph stats",
+    )
+    datasets.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="datasets to build and describe (default: list them all)",
+    )
     sub.add_parser("policies", help="list named policies")
     sub.add_parser("profiles", help="list machine profiles")
 
@@ -635,22 +644,27 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_datasets(_args: argparse.Namespace) -> int:
+def _cmd_datasets(args: argparse.Namespace) -> int:
     from .graph.datasets import DATASETS, load_dataset
     from .graph.stats import degree_stats
 
-    for name, spec in DATASETS.items():
-        if name == "test-small":
-            continue
-        graph = load_dataset(name).graph
+    if not args.names:
+        # The listing reads the registry alone: no graph is built.
+        for name, spec in DATASETS.items():
+            if name != "test-small":
+                print(f"{name:12s} {spec.paper_name:22s} {spec.description}")
+        return 0
+    for name in args.names:
+        data = load_dataset(name)
+        graph = data.graph
         stats = degree_stats(graph)
         print(
-            f"{name:12s} {spec.paper_name:22s} "
+            f"{data.name:12s} {data.paper_name:22s} "
             f"V={graph.num_vertices:>8,} E={graph.num_edges:>10,} "
             f"avg_deg={graph.average_degree:5.1f} "
             f"gini={stats.gini:.2f} "
             f"hot80%={stats.hot_set_fraction:6.1%} "
-            f"skew={stats.skew_class:8s} {spec.description}"
+            f"skew={stats.skew_class:8s} {data.description}"
         )
     return 0
 

@@ -66,6 +66,7 @@ from ..graph.io import on_disk_bytes
 from ..graph.reorder import DBG_COST, ORDERINGS
 from ..machine.machine import Machine
 from ..machine.metrics import RunMetrics
+from ..machine.reuse import ComputeReuse
 from ..obs.tracer import MetricsRegistry, Tracer
 from ..runstate.journal import RunJournal
 from ..runstate.serialize import spec_fingerprint
@@ -324,9 +325,11 @@ class ExperimentRunner:
         self.failures: list[CellFailure] = []
         self.trace_log: list[dict[str, Any]] = []
         self.metrics = MetricsRegistry()
-        """Always-on resilience counters (``harness.retries``,
+        """Always-on host-side counters (``harness.retries``,
         ``harness.cell_failures``, ``harness.watchdog_kills``,
-        ``pool.autosize``), aggregated across every executed cell."""
+        ``pool.autosize`` and, on the serial path, ``reuse.compute_hits``,
+        ``reuse.compute_misses``, ``reuse.stream_replays``), aggregated
+        across every executed cell."""
         self._harness_clock = 0
         self.harness_tracer: Optional[Tracer] = None
         if self.run_config.trace:
@@ -349,6 +352,9 @@ class ExperimentRunner:
             tuple[str, str, bool], tuple[CsrGraph, int]
         ] = {}
         self._perm_cache: dict[tuple[str, str], Any] = {}
+        self._reuse = ComputeReuse(self.metrics)
+        """Compute memo and batch stream store (:mod:`repro.machine
+        .reuse`); counts ``reuse.*`` into :attr:`metrics`."""
 
     # ------------------------------------------------------------------
     # Compatibility views over the run config.  Readable and writable
@@ -581,8 +587,9 @@ class ExperimentRunner:
     ) -> list[CellResult]:
         """Run a batch of cells, returning results aligned with ``cells``.
 
-        With ``workers <= 1`` this is exactly ``[run_cell(*c) for c in
-        cells]`` — the bit-for-bit serial path.  With ``workers > 1``
+        With ``workers <= 1`` this is ``[run_cell(*c) for c in cells]``
+        — the bit-for-bit serial path — with the pending cells sharing
+        access streams (:mod:`repro.machine.reuse`).  With ``workers > 1``
         the not-yet-known cells are executed on a work-stealing process
         pool and merged deterministically: the parent stays the single
         owner of the cell cache and the journal, and journal records,
@@ -626,8 +633,27 @@ class ExperimentRunner:
                             cpus=os.cpu_count() or 1,
                         )
         if workers <= 1 or len(cells) <= 1 or not self.capture_failures:
-            return [self.run_cell(*cell) for cell in cells]
+            return self._run_cells_serial(cells)
         return self._run_cells_parallel(cells)
+
+    def _run_cells_serial(
+        self, cells: list[tuple[str, str, Policy, Scenario]]
+    ) -> list[CellResult]:
+        """``[run_cell(*c) for c in cells]``, with the pending cells that
+        share a stream id sharing its access streams."""
+        pending: dict[tuple, tuple] = {}
+        for cell in cells:
+            key = self._cell_key(*cell)
+            if key not in self._cache and key not in pending:
+                pending[key] = self._stream_id(*cell)
+        results = []
+        with self._reuse.batch(pending.values()):
+            for cell in cells:
+                stream_id = pending.pop(self._cell_key(*cell), None)
+                results.append(self.run_cell(*cell))
+                if stream_id is not None:
+                    self._reuse.consumed(stream_id)
+        return results
 
     def _run_cells_parallel(
         self, cells: list[tuple[str, str, Policy, Scenario]]
@@ -744,6 +770,23 @@ class ExperimentRunner:
             self.max_retries,
             self.cell_budget,
             self.cell_cycles,
+        )
+
+    def _stream_id(
+        self,
+        workload_name: str,
+        dataset_name: str,
+        policy: Policy,
+        scenario: Scenario,
+    ) -> tuple:
+        """What a cell's access streams depend on: never the policy's
+        page sizes nor the scenario (see :mod:`repro.machine.reuse`)."""
+        return (
+            workload_name,
+            dataset_name,
+            policy.plan.reorder,
+            workload_needs_weights(workload_name),
+            self.pagerank_iterations,
         )
 
     @staticmethod
@@ -897,6 +940,9 @@ class ExperimentRunner:
             manager=policy.make_manager(),
             access_budget=self.cell_budget,
             watchdog=watchdog,
+            reuse=self._reuse.cell(
+                self._stream_id(workload_name, dataset_name, policy, scenario)
+            ),
         )
 
     def _capture(
@@ -1039,9 +1085,9 @@ class ExperimentRunner:
         return run.speedup_over(base)
 
     def clear_cache(self) -> None:
-        """Drop all cached cells *and* prepared graphs (frees memory
-        between figure batches); failure records and the trace log are
-        reset too.
+        """Drop all cached cells, prepared graphs and memoised compute
+        phases (frees memory between figure batches); failure records
+        and the trace log are reset too.
 
         Journal state is untouched: spec fingerprints derive from the
         cell *specification* (see :meth:`cell_spec`), not from object
@@ -1050,6 +1096,7 @@ class ExperimentRunner:
         self._cache.clear()
         self._graph_cache.clear()
         self._perm_cache.clear()
+        self._reuse.clear()
         self.failures.clear()
         self.trace_log.clear()
         self.metrics.reset()

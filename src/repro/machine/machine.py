@@ -16,6 +16,7 @@ applied by the experiment harness through the setup helpers before
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 from ..config import MachineConfig, scaled
@@ -42,6 +43,7 @@ from ..workloads.base import ARRAY_NAMES, Workload
 from ..workloads.layout import MemoryLayout
 from .metrics import RunMetrics
 from .process import SimProcess
+from .reuse import CellReuse, ComputeOutcome
 
 INPUT_FILE = "graph-input"
 """Name under which the workload's input file is cached."""
@@ -171,6 +173,7 @@ class Machine:
         manager: Optional[HugePageManager] = None,
         access_budget: Optional[int] = None,
         watchdog: Optional[CellWatchdog] = None,
+        reuse: Optional[CellReuse] = None,
     ) -> RunMetrics:
         """Execute one workload end to end and measure it.
 
@@ -205,6 +208,12 @@ class Machine:
         wall-clock deadline, checked at the same per-stream cadence
         (plus once after initialization, so an init-phase runaway is
         caught too).
+
+        ``reuse`` (a :class:`~repro.machine.reuse.CellReuse` from the
+        runner) lets the cell share access streams with the rest of its
+        batch and, when no manager, tracer, fault injector or watchdog
+        is attached, replay an identical earlier compute phase instead
+        of simulating it.  Outputs are the same bytes either way.
 
         Raises:
             CellBudgetExceededError: if the compute phase passes
@@ -267,8 +276,6 @@ class Machine:
 
         # Phase 3: compute.
         cost = self.config.cost
-        hierarchy = make_hierarchy(self.tlb_engine, self.config.tlb)
-        hierarchy.tracer = tracer
         stats = TranslationStats()
         compute_start_cycles = ledger.total_cycles
         swap_ins = 0
@@ -280,38 +287,82 @@ class Machine:
             for vma in process.vma_by_array.values():
                 profiler.track(vma)
             manager.attach(process, profiler, self.config)
-        for stream in workload.run():
-            trace = process.translate(stream)
-            if check_swap:
-                ins, outs = process.service_swap(trace)
-                swap_ins += ins
-                swap_outs += outs
-            hierarchy.simulate(trace, stats)
-            if (
-                access_budget is not None
-                and stats.total_accesses > access_budget
-            ):
-                raise CellBudgetExceededError(
-                    f"cell exceeded its access budget: "
-                    f"{stats.total_accesses:,} simulated accesses > "
-                    f"budget {access_budget:,}"
+        memo_key = None
+        if reuse is not None and (
+            manager is None
+            and tracer is None
+            and self.fault_injector is None
+            and watchdog is None
+        ):
+            # Nothing observes or perturbs the phase: it is a pure
+            # function of the post-initialisation state (repro.machine
+            # .reuse), so an identical earlier phase can stand in.
+            memo_key = reuse.key(access_budget, process, check_swap)
+        outcome = reuse.recall(memo_key) if memo_key is not None else None
+        if outcome is not None:
+            outcome.apply(stats, ledger)
+            swap_ins, swap_outs = outcome.swap_ins, outcome.swap_outs
+            if swap_ins and vmm.swap_device is not None:
+                vmm.swap_device.page_in(swap_ins)
+                vmm.swap_device.page_out(swap_outs)
+        else:
+            hierarchy = make_hierarchy(self.tlb_engine, self.config.tlb)
+            hierarchy.tracer = tracer
+            streams = (
+                workload.run() if reuse is None else reuse.streams(workload)
+            )
+            # A phase to memoise is charged apart so its ledger charges
+            # can be stored; folding them back in on exit leaves the
+            # ledger as charging it directly would.
+            with (
+                ledger.isolated() if memo_key is not None else nullcontext()
+            ) as phase:
+                for stream in streams:
+                    trace = process.translate(stream)
+                    if check_swap:
+                        ins, outs = process.service_swap(trace)
+                        swap_ins += ins
+                        swap_outs += outs
+                    hierarchy.simulate(trace, stats)
+                    if (
+                        access_budget is not None
+                        and stats.total_accesses > access_budget
+                    ):
+                        raise CellBudgetExceededError(
+                            f"cell exceeded its access budget: "
+                            f"{stats.total_accesses:,} simulated accesses > "
+                            f"budget {access_budget:,}"
+                        )
+                    if watchdog is not None:
+                        # Same expression as the final compute_cycles,
+                        # evaluated incrementally; only paid when a
+                        # watchdog is armed.
+                        watchdog.check(
+                            init_cycles
+                            + int(
+                                stats.total_accesses * cost.mem_access
+                                + stats.translation_cycles(cost)
+                                + (ledger.total_cycles - compute_start_cycles)
+                            )
+                        )
+                    if manager is not None and profiler is not None:
+                        profiler.observe(trace, process.vma_by_array)
+                        if manager.on_iteration():
+                            # Promotions rewrite page tables: full
+                            # shootdown.
+                            hierarchy.flush()
+            if memo_key is not None:
+                reuse.remember(
+                    memo_key,
+                    ComputeOutcome(
+                        stats.accesses.copy(),
+                        stats.l1_misses.copy(),
+                        stats.walks.copy(),
+                        phase,
+                        swap_ins,
+                        swap_outs,
+                    ),
                 )
-            if watchdog is not None:
-                # Same expression as the final compute_cycles, evaluated
-                # incrementally; only paid when a watchdog is armed.
-                watchdog.check(
-                    init_cycles
-                    + int(
-                        stats.total_accesses * cost.mem_access
-                        + stats.translation_cycles(cost)
-                        + (ledger.total_cycles - compute_start_cycles)
-                    )
-                )
-            if manager is not None and profiler is not None:
-                profiler.observe(trace, process.vma_by_array)
-                if manager.on_iteration():
-                    # Promotions rewrite page tables: full shootdown.
-                    hierarchy.flush()
         kernel_stall_cycles = ledger.total_cycles - compute_start_cycles
 
         compute_cycles = int(

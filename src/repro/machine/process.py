@@ -14,6 +14,7 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..core.plan import PlacementPlan
+from ..errors import OutOfMemoryError
 from ..mem.thp import ThpMode
 from ..mem.vmm import VirtualMemoryManager, Vma
 from ..tlb.trace import AccessStream, TlbTrace, compress_trace
@@ -145,6 +146,10 @@ class SimProcess:
         Residency is tracked per call; the VMM's page tables are not
         rewritten (the run's translation behaviour is unaffected: vpns do
         not change when a page moves between RAM and swap).
+
+        Raises:
+            OutOfMemoryError: if a swapped-out page is accessed while no
+                base page is resident to make room for it.
         """
         resident: dict[int, list[bool]] = {}
         start_vpn = self._start_vpn
@@ -165,11 +170,14 @@ class SimProcess:
             flags = resident[array_id]
             if flags[page]:
                 continue
-            # Exchange: evict the FIFO head, reuse its frame.
-            while True:
-                victim_aid, victim_page = fifo.popleft()
-                if resident[victim_aid][victim_page]:
-                    break
+            # Exchange: evict the FIFO head, reuse its frame.  The FIFO
+            # holds exactly the resident base pages.
+            if not fifo:
+                raise OutOfMemoryError(
+                    f"swap-in of page {page} of array {array_id} has no "
+                    "resident base page to evict"
+                )
+            victim_aid, victim_page = fifo.popleft()
             resident[victim_aid][victim_page] = False
             flags[page] = True
             fifo.append((array_id, page))

@@ -10,7 +10,9 @@ time went.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..config import CostModel
 
@@ -115,6 +117,25 @@ class KernelLedger:
         }
 
     def merge(self, other: "KernelLedger") -> None:
-        """Fold another ledger's counters into this one."""
+        """Fold another ledger's counters into this one, in its key
+        order and without re-costing them."""
         self.counts.update(other.counts)
         self.cycles.update(other.cycles)
+
+    @contextmanager
+    def isolated(self) -> Iterator["KernelLedger"]:
+        """Charge a block to empty counters, then fold them back in.
+
+        Everything holding this ledger charges the yielded phase ledger
+        while the block runs, so it ends up with only the block's own
+        charges, in first-touch order.  On exit they are merged in that
+        order, which leaves this ledger exactly as charging it directly
+        would have."""
+        counts, cycles = self.counts, self.cycles
+        phase = KernelLedger(self.cost)
+        self.counts, self.cycles = phase.counts, phase.cycles
+        try:
+            yield phase
+        finally:
+            self.counts, self.cycles = counts, cycles
+            self.merge(phase)

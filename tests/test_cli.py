@@ -27,6 +27,18 @@ class TestInformational:
         assert "Kr25" in out
         assert "test-small" not in out
 
+    def test_datasets_stats_for_named_graph(self, capsys):
+        assert main(["datasets", "kron-s"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert out[0].startswith("kron-s")
+        assert "V= 131,072" in out[0]
+        assert "avg_deg=" in out[0] and "gini=" in out[0]
+
+    def test_datasets_unknown_name_is_an_error(self, capsys):
+        assert main(["datasets", "no-such-graph"]) == 2
+        assert "unknown dataset" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_tiny_cell(self, capsys):
