@@ -8,6 +8,7 @@ phase when memory is oversubscribed.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 import numpy as np
@@ -40,6 +41,12 @@ class SimProcess:
         self._start_vpn: dict[int, int] = {}
         self._start_hvpn: dict[int, int] = {}
         self._elem_bytes: dict[int, int] = {}
+        # Translation memo: stream -> (page-size maps it was translated
+        # under, trace).  Weak keys, so a stream yielded once (bfs, sssp,
+        # cc) takes its trace with it when the kernel drops it.
+        self._traces: weakref.WeakKeyDictionary[
+            AccessStream, tuple[tuple[bytes, ...], TlbTrace]
+        ] = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Initialization phase
@@ -104,7 +111,24 @@ class SimProcess:
         ``(huge_vpn << 1) | 1``.  The per-page size map is the VMM's
         ground truth, so promotions/demotions between streams are
         reflected automatically.
+
+        The same stream object translated again under the same page-size
+        maps returns the same trace object (PageRank yields its sweeps
+        every iteration), so the TLB engine can recognise the repeat.
+        The other translation inputs, each array's start page and
+        element size, are fixed for the process's lifetime.
         """
+        huge_maps = tuple(
+            vma.is_huge.tobytes() for vma in self.vma_by_array.values()
+        )
+        memo = self._traces.get(stream)
+        if memo is not None and memo[0] == huge_maps:
+            return memo[1]
+        trace = self._translate(stream)
+        self._traces[stream] = (huge_maps, trace)
+        return trace
+
+    def _translate(self, stream: AccessStream) -> TlbTrace:
         pages = self.config.pages
         base_shift = pages.base_shift
         huge_shift = pages.huge_shift

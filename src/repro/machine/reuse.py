@@ -25,6 +25,9 @@ weighted, PageRank iterations) can share them.  Before a batch the
 runner declares how many pending cells share each id; the first
 consumer records its streams as the kernel yields them (``uint8`` array
 ids, ``int32`` indices when they fit) and later consumers replay them.
+A stream object the kernel yields again (PageRank's per-iteration
+sweeps) is recorded once and replayed as one object, so the per-cell
+translation and TLB memos still recognise the repeat.
 An entry is dropped after its last consumer and always at the end of
 the batch; an id with one consumer is never recorded.  Manager cells
 share streams too.  Pool and distributed workers build their own
@@ -39,9 +42,10 @@ a fresh run would have created.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
@@ -135,6 +139,60 @@ def compute_key(
     return h.digest()
 
 
+@dataclass
+class Recording:
+    """One kernel's streams as recorded by the stream store.
+
+    ``parts`` holds each distinct stream object once, as ``(array_ids,
+    indices)``; ``order`` lists the part yielded at each step, so a
+    repeated object is one part named several times.
+    """
+
+    parts: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    order: list[int] = field(default_factory=list)
+    # Part index of each stream object seen so far.  Weak keys: a
+    # stream yielded once is not kept alive for this.
+    _part_of: "weakref.WeakKeyDictionary[AccessStream, int]" = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False
+    )
+
+    def add(self, stream: AccessStream) -> None:
+        """Record the next yielded stream."""
+        part = self._part_of.get(stream)
+        if part is None:
+            part = self._part_of[stream] = len(self.parts)
+            indices = stream.indices
+            if indices.size and (
+                int(indices.min()) >= _INT32.min
+                and int(indices.max()) <= _INT32.max
+            ):
+                kept = indices.astype(np.int32)
+            else:
+                kept = indices.copy()
+            self.parts.append(
+                (stream.array_ids.astype(np.uint8, copy=False), kept)
+            )
+        self.order.append(part)
+
+    def replay(self) -> Iterator[AccessStream]:
+        """The recorded streams in order, widened back to ``int64``; a
+        part named again later is yielded as the same object, and held
+        only until its last step."""
+        left = Counter(self.order)
+        live: dict[int, AccessStream] = {}
+        for part in self.order:
+            stream = live.get(part)
+            if stream is None:
+                array_ids, indices = self.parts[part]
+                stream = AccessStream(array_ids, indices.astype(np.int64))
+            left[part] -= 1
+            if left[part]:
+                live[part] = stream
+            else:
+                live.pop(part, None)
+            yield stream
+
+
 class ComputeReuse:
     """A runner's compute memo and stream store (see the module doc)."""
 
@@ -144,7 +202,7 @@ class ComputeReuse:
         and ``reuse.stream_replays``."""
         self._memo: dict[bytes, ComputeOutcome] = {}
         self._consumers: Counter = Counter()
-        self._streams: dict[StreamId, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._streams: dict[StreamId, Recording] = {}
 
     def cell(self, stream_id: StreamId) -> "CellReuse":
         """The handle one cell passes to ``Machine.run``."""
@@ -216,25 +274,14 @@ class CellReuse:
         recorded = owner._streams.get(stream_id)
         if recorded is not None:
             owner.metrics.count("reuse.stream_replays")
-            for array_ids, indices in recorded:
-                yield AccessStream(array_ids, indices.astype(np.int64))
+            yield from recorded.replay()
             return
         if owner._consumers[stream_id] < 2:
             yield from workload.run()
             return
-        recording: list[tuple[np.ndarray, np.ndarray]] = []
+        recording = Recording()
         for stream in workload.run():
-            indices = stream.indices
-            if indices.size and (
-                int(indices.min()) >= _INT32.min
-                and int(indices.max()) <= _INT32.max
-            ):
-                kept = indices.astype(np.int32)
-            else:
-                kept = indices.copy()
-            recording.append(
-                (stream.array_ids.astype(np.uint8, copy=False), kept)
-            )
+            recording.add(stream)
             yield stream
         # Only a stream run to exhaustion is complete; a consumer that
         # stopped early (budget, failure) leaves nothing behind.

@@ -52,6 +52,9 @@ split, because the carried state replays between chunks.
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..config import TlbConfig, TlbGeometry
@@ -376,6 +379,23 @@ class _BatchLru:
         self.state_keys = keys_ss[take].astype(np.int64)
 
 
+@dataclass(frozen=True)
+class _Outcome:
+    """Everything one ``simulate`` call did, from one carried state.
+
+    ``state_keys`` and the counter deltas are per structure, in
+    :attr:`BatchTranslationHierarchy._structures` order.  Carried state
+    arrays are only ever replaced, never written in place, so the
+    stored exit state can be shared with the structures.
+    """
+
+    l1_misses: np.ndarray
+    walks: np.ndarray
+    state_keys: tuple[np.ndarray, ...]
+    hits: tuple[int, ...]
+    misses: tuple[int, ...]
+
+
 class BatchTranslationHierarchy:
     """Split L1 DTLB + unified STLB over batched NumPy passes.
 
@@ -383,6 +403,14 @@ class BatchTranslationHierarchy:
     :class:`~repro.tlb.hierarchy.TranslationHierarchy` for everything
     the machine uses (``simulate`` / ``flush`` / ``tracer``) and
     produces bit-identical :class:`TranslationStats`.
+
+    A trace object simulated again from the same carried state of every
+    structure replays its stored :class:`_Outcome` instead: the engine
+    is deterministic, so the counts, the exit state and the
+    ``tlb.stream`` event are the ones the simulation would produce.
+    PageRank's repeated sweeps reach the same state from the second
+    iteration on (docs/performance.md "Repeated iterations within a
+    cell").
     """
 
     engine = "batch"
@@ -408,8 +436,15 @@ class BatchTranslationHierarchy:
             self.l1_huge = _BatchLru(config.l1_huge)
             self._l1_structures = (self.l1_base, self.l1_huge)
         self.l2 = _BatchLru(config.l2)
+        self._structures = self._l1_structures + (self.l2,)
         self.tracer = None
         self._stream = 0
+        # trace -> {carried state of every structure: outcome}.  Weak
+        # keys: a trace lives only as long as its translation memo
+        # entry, so nothing outlives the stream it came from.
+        self._outcomes: weakref.WeakKeyDictionary[
+            TlbTrace, dict[tuple[bytes, ...], _Outcome]
+        ] = weakref.WeakKeyDictionary()
 
     def flush(self) -> None:
         """Full shootdown of every level."""
@@ -551,6 +586,55 @@ class BatchTranslationHierarchy:
         ``stats`` in place (same contract, and same resulting counts,
         as the exact simulator's loop).
 
+        A repeat of an earlier call (same trace object, same carried
+        state) restores that call's outcome; anything else is
+        simulated and remembered.
+        """
+        structures = self._structures
+        state = tuple(s.state_keys.tobytes() for s in structures)
+        outcomes = self._outcomes.setdefault(trace, {})
+        outcome = outcomes.get(state)
+        if outcome is None:
+            hits = [s.hits for s in structures]
+            misses = [s.misses for s in structures]
+            l1m, wlk = self._simulate(trace)
+            outcome = _Outcome(
+                l1m,
+                wlk,
+                tuple(s.state_keys for s in structures),
+                tuple(s.hits - h for s, h in zip(structures, hits)),
+                tuple(s.misses - m for s, m in zip(structures, misses)),
+            )
+            outcomes[state] = outcome
+        else:
+            for structure, keys, hits, misses in zip(
+                structures, outcome.state_keys, outcome.hits, outcome.misses
+            ):
+                structure.state_keys = keys
+                structure.hits += hits
+                structure.misses += misses
+        stats.accesses += trace.access_totals()
+        stats.l1_misses += outcome.l1_misses
+        stats.walks += outcome.walks
+
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(
+                "tlb.stream",
+                stream=self._stream,
+                engine=self.engine,
+                accesses=(
+                    int(trace.counts.sum()) if trace.counts.size else 0
+                ),
+                l1_misses=int(outcome.l1_misses.sum()),
+                walks=int(outcome.walks.sum()),
+            )
+            self._stream += 1
+
+    def _simulate(self, trace: TlbTrace) -> tuple[np.ndarray, np.ndarray]:
+        """Simulate ``trace`` from the carried state; returns the added
+        per-array ``(l1_misses, walks)``.
+
         Streams whose L1 working set provably fits (huge-page-backed
         cells) are decided in one whole-stream pass; everything else
         runs chunk by chunk — page-size split, L1 probes, L2 over the
@@ -558,7 +642,6 @@ class BatchTranslationHierarchy:
         intermediate array stays cache-resident, with LRU state carried
         across chunks exactly.
         """
-        stats.accesses += trace.access_totals()
         lookup_keys, lookup_array_ids = trace.lookup_view()
         n = lookup_keys.size
 
@@ -612,22 +695,7 @@ class BatchTranslationHierarchy:
                 wlk += np.bincount(
                     miss_aids[walk_mask], minlength=MAX_ARRAY_IDS
                 )
-        stats.l1_misses += l1m
-        stats.walks += wlk
-
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "tlb.stream",
-                stream=self._stream,
-                engine=self.engine,
-                accesses=(
-                    int(trace.counts.sum()) if trace.counts.size else 0
-                ),
-                l1_misses=int(l1m.sum()),
-                walks=int(wlk.sum()),
-            )
-            self._stream += 1
+        return l1m, wlk
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,15 @@ MAX_ARRAY_IDS = 8
 """Upper bound on distinct data-structure ids in one workload."""
 
 
-@dataclass
+@dataclass(eq=False)
 class AccessStream:
     """A program-order sequence of logical array accesses.
+
+    Equality and hashing are by identity: a kernel that yields the same
+    stream object again (PageRank's repeated sweeps) lets translation
+    memoise on the object (:meth:`SimProcess.translate
+    <repro.machine.process.SimProcess.translate>`).  Streams are never
+    mutated after they are yielded.
 
     Attributes:
         array_ids: ``uint8`` array naming which data structure each access
@@ -77,9 +83,14 @@ def merge_streams(
     return AccessStream(array_ids[order].astype(np.uint8), indices[order])
 
 
-@dataclass
+@dataclass(eq=False)
 class TlbTrace:
     """A page-granular, run-length-compressed translation trace.
+
+    Equality and hashing are by identity, so the batch engine can
+    memoise a repeated trace object's simulation
+    (:meth:`BatchTranslationHierarchy.simulate
+    <repro.tlb.engine.BatchTranslationHierarchy.simulate>`).
 
     Attributes:
         keys: packed page keys (``(page << 1) | size``).

@@ -67,21 +67,30 @@ class PageRank(Workload):
         num_vertices = graph.num_vertices
         out_degrees = np.diff(graph.indptr)
         all_vertices = np.arange(num_vertices, dtype=np.int64)
-        # Precompute the full edge sweep once: every iteration touches
-        # every edge in the same order.
+        # Every iteration touches every edge in the same order and ends
+        # with the same sweep, so both streams are built once and the
+        # same objects are yielded every iteration: translation and the
+        # TLB engine memoise on the object (docs/performance.md
+        # "Repeated iterations within a cell").
         edge_positions, targets = self.gather_frontier_edges(all_vertices)
         sources = np.repeat(all_vertices, out_degrees)
+        edge_sweep = self.edge_phase_stream(
+            all_vertices, edge_positions, targets, source_rank_reads=True
+        )
+        # End-of-iteration sweep: write the new scores back through the
+        # property array and reload the rank array.
+        score_sweep = AccessStream.concatenate(
+            [
+                self.sequential_pass_stream(ARRAY_PROPERTY),
+                self.sequential_pass_stream(ARRAY_RANK),
+            ]
+        )
         base_score = (1.0 - self.damping) / max(1, num_vertices)
         self.scores[:] = 1.0 / max(1, num_vertices)
         self.iterations = 0
         self.converged = False
         for _ in range(self.max_iterations):
-            yield self.edge_phase_stream(
-                all_vertices,
-                edge_positions,
-                targets,
-                source_rank_reads=True,
-            )
+            yield edge_sweep
             contributions = np.where(
                 out_degrees > 0, self.scores / np.maximum(out_degrees, 1), 0.0
             )
@@ -94,14 +103,7 @@ class PageRank(Workload):
             delta = float(np.abs(next_scores - self.scores).sum())
             self.scores = next_scores
             self.iterations += 1
-            # End-of-iteration sweep: write the new scores back through
-            # the property array and reload the rank array.
-            yield AccessStream.concatenate(
-                [
-                    self.sequential_pass_stream(ARRAY_PROPERTY),
-                    self.sequential_pass_stream(ARRAY_RANK),
-                ]
-            )
+            yield score_sweep
             if delta < self.epsilon:
                 self.converged = True
                 break

@@ -23,7 +23,7 @@ from repro.tlb.engine import (
     make_hierarchy,
 )
 from repro.tlb.hierarchy import TranslationHierarchy, TranslationStats
-from repro.tlb.trace import compress_trace
+from repro.tlb.trace import TlbTrace, compress_trace
 
 GEOMETRIES = {
     # Direct-mapped everywhere: every re-reference of a conflicting key
@@ -188,6 +188,80 @@ def test_open_stream_declines_fast_path(fast_path_spy):
     )
     _run_both(GEOMETRIES["ways-1"], segments)
     assert not all(fast_path_spy), "over-capacity stream fast-pathed"
+
+
+def _copy(trace):
+    return TlbTrace(
+        trace.keys.copy(), trace.counts.copy(), trace.array_ids.copy()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_repeated_trace_objects_match_exact(name, seed, monkeypatch):
+    """The same trace objects simulated again and again, interleaved
+    with other traces and flushes, match the exact engine after every
+    step.  A memo hit must also restore the exit state and the
+    per-structure hit and miss counters of a memo-free batch engine,
+    which only ever sees fresh copies."""
+    rng = np.random.default_rng(seed)
+    config = GEOMETRIES[name]
+    closed = np.array([0, 2, 4, 1], dtype=np.int64)
+    pool = [
+        compress_trace(keys, aids)
+        for keys, aids in _random_segments(rng, 3, 600, 48)
+    ]
+    pool.append(
+        compress_trace(
+            closed[rng.integers(0, closed.size, size=300)],
+            rng.integers(0, 5, size=300).astype(np.uint8),
+        )
+    )
+    # Runs of one trace reach a steady state (PageRank's case); flushes
+    # return to the empty state; -1 is a flush.
+    schedule = [0, 0, 0, 1, -1, 0, 3, 3, -1, 0, 2, 1, 2, 1, 2, 1, -1, 3]
+    schedule += [int(i) for i in rng.integers(-1, len(pool), size=40)]
+
+    simulated = []
+    inner = BatchTranslationHierarchy._simulate
+
+    def counting(self, trace):
+        if self is batch:
+            simulated.append(trace)
+        return inner(self, trace)
+
+    monkeypatch.setattr(BatchTranslationHierarchy, "_simulate", counting)
+    exact = TranslationHierarchy(config)
+    batch = BatchTranslationHierarchy(config)
+    memo_free = BatchTranslationHierarchy(config)
+    engines = (exact, batch, memo_free)
+    stats = [TranslationStats() for _ in engines]
+    calls = 0
+    for step in schedule:
+        if step < 0:
+            for engine in engines:
+                engine.flush()
+            continue
+        trace = pool[step]
+        exact.simulate(trace, stats[0])
+        batch.simulate(trace, stats[1])
+        memo_free.simulate(_copy(trace), stats[2])
+        calls += 1
+        for other in stats[1:]:
+            for field in ("accesses", "l1_misses", "walks"):
+                np.testing.assert_array_equal(
+                    getattr(other, field), getattr(stats[0], field)
+                )
+        for mine, reference in zip(
+            batch._structures, memo_free._structures
+        ):
+            np.testing.assert_array_equal(
+                mine.state_keys, reference.state_keys
+            )
+            assert (mine.hits, mine.misses) == (
+                reference.hits, reference.misses
+            )
+    assert 0 < len(simulated) < calls, "the memo never hit"
 
 
 def test_non_power_of_two_occupancy():
