@@ -1,12 +1,13 @@
-"""Translation-kernel microbenchmark: exact vs batch engine, per cell.
+"""Translation-kernel microbenchmark: exact vs batch vs native engine.
 
 Captures the TLB traces (and flush boundaries) of representative
 experiment cells once, then replays the identical trace sequence
-through a fresh exact hierarchy and a fresh batch hierarchy, timing
-only the ``simulate`` calls.  Both engines are single-threaded numpy,
-so the measured per-cell kernel seconds are CPU-count-independent —
-unlike the sweep-level wall-clock benches, this entry is comparable
-across hosts with different core counts.
+through a fresh exact, batch and native hierarchy, timing only the
+``simulate`` calls.  Every engine is single-threaded, so the measured
+per-cell kernel seconds are CPU-count-independent — unlike the
+sweep-level wall-clock benches, this entry is comparable across hosts
+with different core counts.  The batch and native counts must equal
+the exact ones.
 
 Cells (full mode):
 
@@ -20,8 +21,9 @@ Cells (full mode):
   decision procedure (typically 3-4x on one core).
 
 ``REPRO_BENCH_KERNEL=quick`` swaps in a small synthetic pair of cells
-(seconds, for CI smoke); the >=10x target is only asserted in full
-mode outside CI, but the measured ratios are always recorded under
+(seconds, for CI smoke); the batch engine's >=10x target is only
+asserted in full mode outside CI, but the measured ratios and the ns
+per lookup of every engine are always recorded under
 ``translation_engine`` in BENCH_sweep.json.
 """
 
@@ -39,6 +41,7 @@ from repro.graph.datasets import clear_dataset_cache, load_dataset
 from repro.machine import machine as machine_mod
 from repro.tlb.engine import BatchTranslationHierarchy
 from repro.tlb.hierarchy import TranslationHierarchy, TranslationStats
+from repro.tlb.native import NativeTranslationHierarchy
 from repro.workloads.registry import create_workload
 
 QUICK = os.environ.get("REPRO_BENCH_KERNEL", "") == "quick"
@@ -150,30 +153,42 @@ def test_translation_kernel(sweep_record):
         batch_stats, batch_seconds = _replay(
             BatchTranslationHierarchy, config, events, reps=reps + 1
         )
-        identical = (
-            np.array_equal(exact_stats.accesses, batch_stats.accesses)
-            and np.array_equal(exact_stats.l1_misses, batch_stats.l1_misses)
-            and np.array_equal(exact_stats.walks, batch_stats.walks)
+        native_stats, native_seconds = _replay(
+            NativeTranslationHierarchy, config, events, reps=reps + 1
         )
         # Equivalence is a hard invariant, never a soft metric.
-        assert identical, (
-            f"{label}: batch engine diverged from exact "
-            f"(l1m {batch_stats.l1_misses.tolist()} vs "
-            f"{exact_stats.l1_misses.tolist()})"
-        )
+        for engine, stats in (
+            ("batch", batch_stats),
+            ("native", native_stats),
+        ):
+            assert (
+                np.array_equal(exact_stats.accesses, stats.accesses)
+                and np.array_equal(exact_stats.l1_misses, stats.l1_misses)
+                and np.array_equal(exact_stats.walks, stats.walks)
+            ), (
+                f"{label}: {engine} engine diverged from exact "
+                f"(l1m {stats.l1_misses.tolist()} vs "
+                f"{exact_stats.l1_misses.tolist()})"
+            )
         speedup = exact_seconds / batch_seconds if batch_seconds else 0.0
         results[label] = {
             "lookups": lookups,
             "exact_seconds": exact_seconds,
             "batch_seconds": batch_seconds,
+            "native_seconds": native_seconds,
             "exact_ns_per_lookup": 1e9 * exact_seconds / max(lookups, 1),
             "batch_ns_per_lookup": 1e9 * batch_seconds / max(lookups, 1),
+            "native_ns_per_lookup": 1e9 * native_seconds / max(lookups, 1),
             "speedup": speedup,
-            "identical": identical,
+            "native_speedup": (
+                exact_seconds / native_seconds if native_seconds else 0.0
+            ),
+            "identical": True,
         }
         print(
             f"\n{label}: {lookups} lookups, exact {exact_seconds:.3f}s, "
-            f"batch {batch_seconds:.3f}s -> {speedup:.2f}x"
+            f"batch {batch_seconds:.3f}s -> {speedup:.2f}x, "
+            f"native {native_seconds:.3f}s"
         )
         # Million-vertex traces are hundreds of MB; drop each cell's
         # graph and traces before capturing the next.

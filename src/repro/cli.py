@@ -46,6 +46,7 @@ from typing import Optional, Sequence
 
 from .config import PROFILES, get_profile
 from .errors import ReproError
+from .tlb.engine import TLB_ENGINES
 from .units import format_bytes
 
 
@@ -59,12 +60,14 @@ def _add_common_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tlb-engine",
         default="auto",
-        choices=("exact", "batch", "auto"),
+        choices=TLB_ENGINES,
         dest="tlb_engine",
         help="translation engine: 'exact' (reference per-lookup "
-        "simulator), 'batch' (vectorized set-wise engine, identical "
-        "counts), or 'auto' (batch after a per-geometry equivalence "
-        "self-check; default)",
+        "simulator), 'batch' (vectorized set-wise engine), 'native' "
+        "(the reference loop compiled with $CC on first use and cached "
+        "under ~/.cache/repro; an error if it cannot be built), or "
+        "'auto' (native, else batch, after a per-geometry equivalence "
+        "self-check; default).  Every engine gives identical counts.",
     )
 
 

@@ -86,7 +86,8 @@ class DistConfig:
 
     def worker_settings(self, runner: Any) -> dict[str, Any]:
         """The JSON-safe execution settings a worker rebuilds its
-        runner from — everything that feeds the spec fingerprint."""
+        runner from — everything that feeds the spec fingerprint, plus
+        the translation engine (execution policy, outside it)."""
         return {
             "profile": runner.config.name,
             "pagerank_iterations": runner.pagerank_iterations,
@@ -96,4 +97,5 @@ class DistConfig:
             "cell_deadline_seconds": runner.cell_deadline_seconds,
             "faults": self.faults_text,
             "fault_seed": self.fault_seed,
+            "tlb_engine": runner.run_config.tlb_engine,
         }

@@ -113,6 +113,8 @@ def _build_runner(settings: dict[str, Any]):
             cell_cycles=settings["cell_cycles"],
             cell_deadline_seconds=settings["cell_deadline_seconds"],
             faults=plan,
+            # Absent from an older coordinator's settings.
+            tlb_engine=settings.get("tlb_engine", "auto"),
         ),
         pagerank_iterations=settings["pagerank_iterations"],
     )

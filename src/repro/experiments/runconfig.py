@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Optional, Union
 from ..errors import ConfigError
 from ..faults.spec import FaultPlan
 from ..runstate.journal import RunJournal
+from ..tlb.engine import TLB_ENGINES
 
 if TYPE_CHECKING:
     import argparse
@@ -69,15 +70,17 @@ class RunConfig:
             simulated machine; events and counter snapshots ride on
             each cell's :class:`~repro.machine.metrics.RunMetrics` and
             accumulate on the runner's ``trace_log``.
-        tlb_engine: translation engine per simulated cell — ``"exact"``
-            (the reference per-lookup simulator), ``"batch"`` (the
-            vectorized set-wise engine, docs/performance.md) or
-            ``"auto"`` (batch after a one-time per-geometry equivalence
-            self-check, falling back to exact).  Both engines produce
-            identical counts, so the engine is pure execution policy:
-            it is *excluded* from journal spec fingerprints, and a
-            sweep journaled under one engine resumes cleanly under the
-            other.
+        tlb_engine: translation engine per simulated cell, one of
+            :data:`~repro.tlb.engine.TLB_ENGINES` — ``"exact"`` (the
+            reference per-lookup simulator), ``"batch"`` (the
+            vectorized set-wise engine, docs/performance.md),
+            ``"native"`` (the reference loop compiled on first use) or
+            ``"auto"`` (native, else batch, each after a one-time
+            per-geometry equivalence self-check, falling back to
+            exact).  Every engine produces identical counts, so the
+            engine is pure execution policy: it is *excluded* from
+            journal spec fingerprints, and a sweep journaled under one
+            engine resumes cleanly under another.
     """
 
     workers: int = 1
@@ -140,9 +143,9 @@ class RunConfig:
                 "faults must be a FaultPlan or a plan string, "
                 f"got {type(self.faults).__name__}"
             )
-        if self.tlb_engine not in ("exact", "batch", "auto"):
+        if self.tlb_engine not in TLB_ENGINES:
             raise ConfigError(
-                "tlb_engine must be one of 'exact', 'batch', 'auto', "
+                f"tlb_engine must be one of {', '.join(TLB_ENGINES)}, "
                 f"got {self.tlb_engine!r}"
             )
 

@@ -10,6 +10,8 @@
   set-wise LRU decision procedure producing counts identical to the
   exact simulator, at a fraction of the per-lookup cost
   (docs/performance.md).
+- :mod:`repro.tlb.native` — the exact simulator's lookup loop as a C
+  kernel (``lru.c``), compiled on first use; ``auto``'s first choice.
 """
 
 from .trace import AccessStream, TlbTrace, merge_streams
@@ -21,10 +23,12 @@ from .engine import (
     batch_engine_matches,
     make_hierarchy,
 )
+from .native import NativeTranslationHierarchy
 
 __all__ = [
     "AccessStream",
     "BatchTranslationHierarchy",
+    "NativeTranslationHierarchy",
     "SetAssociativeTlb",
     "TLB_ENGINES",
     "TlbTrace",

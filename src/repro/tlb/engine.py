@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import TlbConfig, TlbGeometry
+from . import native
 from .hierarchy import MAX_ARRAY_IDS, TranslationHierarchy, TranslationStats
 from .trace import TlbTrace, compress_trace
 
@@ -702,14 +703,22 @@ class BatchTranslationHierarchy:
 # Engine selection
 # ----------------------------------------------------------------------
 
-TLB_ENGINES = ("exact", "batch", "auto")
+TLB_ENGINES = ("exact", "batch", "native", "auto")
+
+_ENGINE_CLASSES = {
+    "exact": TranslationHierarchy,
+    "batch": BatchTranslationHierarchy,
+    "native": native.NativeTranslationHierarchy,
+}
 
 _auto_cache: dict[tuple, bool] = {}
 
 
 def _probe_trace(config: TlbConfig, seed: int = 20220904) -> TlbTrace:
     """Deterministic probe exercising both page-size classes, set
-    aliasing, capacity churn and ping-pong reuse."""
+    aliasing, capacity churn and ping-pong reuse, then the same keys
+    again above 2^32 (a 64 GB node's high page numbers): an engine
+    that narrows keys to 32 bits sees them as hits on the low keys."""
     rng = np.random.default_rng(seed)
     span = 4 * config.l2.entries
     pages = rng.integers(0, max(span, 8), size=4096)
@@ -719,15 +728,17 @@ def _probe_trace(config: TlbConfig, seed: int = 20220904) -> TlbTrace:
     keys[rng.integers(0, keys.size, size=keys.size // 3)] = hot[
         rng.integers(0, hot.size, size=keys.size // 3)
     ]
+    keys = np.concatenate([keys, keys[-1024:] + (1 << 33)])
     array_ids = rng.integers(0, 4, size=keys.size).astype(np.uint8)
     return compress_trace(keys, array_ids)
 
 
-def batch_engine_matches(config: TlbConfig) -> bool:
-    """Self-check: run the probe trace through both engines (split in
-    two batches, re-run with a flush in between) and compare counts.
-    Cached per TLB geometry."""
+def batch_engine_matches(config: TlbConfig, engine: str = "batch") -> bool:
+    """Self-check: run the probe trace through ``engine`` and the exact
+    simulator (split in two batches, re-run with a flush in between)
+    and compare counts.  Cached per engine and TLB geometry."""
     cache_key = (
+        engine,
         config.l1_base.entries,
         config.l1_base.ways,
         config.l1_huge.entries,
@@ -753,21 +764,21 @@ def batch_engine_matches(config: TlbConfig) -> bool:
         ),
     ]
     exact = TranslationHierarchy(config)
-    batch = BatchTranslationHierarchy(config)
+    other = _ENGINE_CLASSES[engine](config)
     ok = True
     for flush_between in (False, True):
         s_exact = TranslationStats()
-        s_batch = TranslationStats()
+        s_other = TranslationStats()
         for part in parts:
             exact.simulate(part, s_exact)
-            batch.simulate(part, s_batch)
+            other.simulate(part, s_other)
             if flush_between:
                 exact.flush()
-                batch.flush()
+                other.flush()
         ok = ok and (
-            np.array_equal(s_exact.accesses, s_batch.accesses)
-            and np.array_equal(s_exact.l1_misses, s_batch.l1_misses)
-            and np.array_equal(s_exact.walks, s_batch.walks)
+            np.array_equal(s_exact.accesses, s_other.accesses)
+            and np.array_equal(s_exact.l1_misses, s_other.l1_misses)
+            and np.array_equal(s_exact.walks, s_other.walks)
         )
     _auto_cache[cache_key] = ok
     return ok
@@ -778,18 +789,28 @@ def make_hierarchy(
 ) -> "TranslationHierarchy | BatchTranslationHierarchy":
     """Build the requested translation engine.
 
-    ``auto`` selects the batch engine after a one-time equivalence
-    self-check against the exact simulator on a probe trace, falling
-    back to ``exact`` if the check fails (counts must never drift).
+    ``auto`` selects the native engine when its kernel builds and
+    passes a one-time per-geometry self-check against the exact
+    simulator on a probe trace; otherwise the batch engine after the
+    same check, and ``exact`` if that fails too (counts must never
+    drift).
+
+    Raises:
+        ConfigError: ``native`` was asked for and cannot be built.
     """
-    if engine == "exact":
-        return TranslationHierarchy(config)
-    if engine == "batch":
-        return BatchTranslationHierarchy(config)
     if engine == "auto":
-        if batch_engine_matches(config):
-            return BatchTranslationHierarchy(config)
-        return TranslationHierarchy(config)
-    raise ValueError(
-        f"unknown tlb engine {engine!r}; expected one of {TLB_ENGINES}"
-    )
+        engine = _auto_engine(config)
+    cls = _ENGINE_CLASSES.get(engine)
+    if cls is None:
+        raise ValueError(
+            f"unknown tlb engine {engine!r}; expected one of {TLB_ENGINES}"
+        )
+    return cls(config)
+
+
+def _auto_engine(config: TlbConfig) -> str:
+    if native.load() is not None and batch_engine_matches(config, "native"):
+        return "native"
+    if batch_engine_matches(config):
+        return "batch"
+    return "exact"

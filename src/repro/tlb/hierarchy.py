@@ -5,11 +5,13 @@ size (separate 4KB and huge-page structures) backed by a unified
 second-level "STLB".  A first-level miss probes the STLB; an STLB miss
 costs a page table walk.
 
-The batch :meth:`TranslationHierarchy.simulate` loop is the simulator's
-hot path — it processes run-length-compressed traces (millions of runs)
-in optimized pure Python, attributing accesses, first-level misses and
+:meth:`TranslationHierarchy.simulate` processes run-length-compressed
+traces (millions of runs), attributing accesses, first-level misses and
 walks to the data structure (array id) that issued them, which is how the
-paper's Fig. 4/5 per-structure analysis is produced.
+paper's Fig. 4/5 per-structure analysis is produced.  Its per-lookup loop
+(:meth:`TranslationHierarchy._lookups`) is the reference in optimized
+pure Python; :class:`repro.tlb.native.NativeTranslationHierarchy` runs
+the same loop as compiled code.
 """
 
 from __future__ import annotations
@@ -153,12 +155,31 @@ class TranslationHierarchy:
         remaining ``c - 1`` accesses are guaranteed L1 hits (the entry was
         just installed or refreshed), so only counts are updated for them.
         Access attribution is vectorized over the full run arrays; the
-        lookup loop walks the coalesced view (adjacent same-key runs are
-        a single lookup — see :meth:`TlbTrace.lookup_view`).
+        lookups walk the coalesced view (adjacent same-key runs are a
+        single lookup — see :meth:`TlbTrace.lookup_view`) through
+        :meth:`_lookups`, the one step an engine subclass replaces.
         """
         stats.accesses += trace.access_totals()
-        lookup_keys, lookup_array_ids = trace.lookup_view()
+        l1m, wlk = self._lookups(*trace.lookup_view())
+        stats.l1_misses += l1m
+        stats.walks += wlk
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(
+                "tlb.stream",
+                stream=self._stream,
+                engine=self.engine,
+                accesses=int(trace.counts.sum()) if trace.counts.size else 0,
+                l1_misses=int(l1m.sum()),
+                walks=int(wlk.sum()),
+            )
+            self._stream += 1
 
+    def _lookups(
+        self, lookup_keys: np.ndarray, lookup_array_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Look up ``lookup_keys`` in order from the carried state;
+        returns the per-array ``(l1_misses, walks)`` they added."""
         l1b_sets = self.l1_base.sets
         l1b_mask = self.l1_base.set_mask
         l1b_ways = self.l1_base.geometry.ways
@@ -172,7 +193,7 @@ class TranslationHierarchy:
         l2_ways = self.l2.geometry.ways
         l2_res = self.l2.resident
 
-        # Accumulate into plain int lists inside the loop; fold into the
+        # Accumulate into plain int lists inside the loop; fold into
         # numpy counters once at the end.  Hits test the O(1) resident
         # view and pay at most one list scan (the LRU reorder, skipped
         # when the entry is already MRU); misses scan nothing.
@@ -217,16 +238,7 @@ class TranslationHierarchy:
             if len(entries2) > l2_ways:
                 l2_res.discard(entries2.pop())
 
-        stats.l1_misses += np.asarray(l1m_l, dtype=np.int64)
-        stats.walks += np.asarray(wlk_l, dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "tlb.stream",
-                stream=self._stream,
-                engine=self.engine,
-                accesses=int(trace.counts.sum()) if trace.counts.size else 0,
-                l1_misses=sum(l1m_l),
-                walks=sum(wlk_l),
-            )
-            self._stream += 1
+        return (
+            np.asarray(l1m_l, dtype=np.int64),
+            np.asarray(wlk_l, dtype=np.int64),
+        )

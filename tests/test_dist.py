@@ -32,6 +32,7 @@ from repro.dist import (
     work_loop,
 )
 from repro.dist.http import ClientResponse, Response, SweepClient
+from repro.dist.worker import _build_runner
 from repro.errors import ConfigError, DistError
 from repro.experiments import ExperimentRunner, RunConfig
 from repro.experiments.parse import parse_policy, parse_scenario
@@ -92,7 +93,20 @@ class TestDistConfig:
         assert set(settings) == {
             "profile", "pagerank_iterations", "retries", "cell_budget",
             "cell_cycles", "cell_deadline_seconds", "faults", "fault_seed",
+            "tlb_engine",
         }
+
+    def test_worker_runner_gets_the_coordinators_engine(self):
+        runner = ExperimentRunner(
+            config=get_profile("scaled"),
+            run_config=RunConfig(tlb_engine="exact"),
+        )
+        settings = DistConfig().worker_settings(runner)
+        assert settings["tlb_engine"] == "exact"
+        assert _build_runner(settings).run_config.tlb_engine == "exact"
+        # An older coordinator sends no engine: the worker runs auto.
+        del settings["tlb_engine"]
+        assert _build_runner(settings).run_config.tlb_engine == "auto"
 
 
 # ----------------------------------------------------------------------

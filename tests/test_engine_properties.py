@@ -1,21 +1,32 @@
-"""Equivalence properties for the vectorized batch translation engine.
+"""Equivalence properties for the batch and native translation engines.
 
-The batch engine's only contract is *bit-identical counts* to the exact
+Each engine's only contract is *bit-identical counts* to the exact
 per-lookup simulator (``TranslationHierarchy`` / ``access_one``) on any
 trace sequence — including carried TLB state across ``simulate`` calls,
-flushes, fused vs split L1 geometries, and every addressing mode of the
-closed-sets fast path (direct, rebased for large-base keys, wide-direct).
+flushes, fused vs split L1 geometries, keys above 2^32, and every
+addressing mode of the batch engine's closed-sets fast path (direct,
+rebased for large-base keys, wide-direct).
 
-Seeded-random streams drive both engines through identical segment
+Seeded-random streams drive every engine through identical segment
 sequences; a spy on ``_closed_l1_decide`` pins down *which* decision
 procedure actually ran, so the fast-path tests cannot silently pass via
 the chunked fallback.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.cli import _build_parser
 from repro.config import TlbConfig, TlbGeometry
+from repro.errors import ConfigError
+from repro.experiments.runconfig import RunConfig
+from repro.tlb import engine as tlb_engine
+from repro.tlb import native
 from repro.tlb.engine import (
     TLB_ENGINES,
     BatchTranslationHierarchy,
@@ -23,7 +34,18 @@ from repro.tlb.engine import (
     make_hierarchy,
 )
 from repro.tlb.hierarchy import TranslationHierarchy, TranslationStats
+from repro.tlb.native import NativeTranslationHierarchy
 from repro.tlb.trace import TlbTrace, compress_trace
+
+HAVE_NATIVE = native.load() is not None
+"""False only where no working C compiler exists; CI asserts it is True."""
+needs_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="the native kernel cannot be built here"
+)
+
+ENGINES = {"batch": BatchTranslationHierarchy}
+if HAVE_NATIVE:
+    ENGINES["native"] = NativeTranslationHierarchy
 
 GEOMETRIES = {
     # Direct-mapped everywhere: every re-reference of a conflicting key
@@ -55,25 +77,38 @@ GEOMETRIES = {
 }
 
 
+def _assert_same_state(exact, other):
+    """A native engine's slots hold the exact engine's sets, MRU-first."""
+    if not isinstance(other, NativeTranslationHierarchy):
+        return
+    structures = (exact.l1_base, exact.l1_huge, exact.l2)
+    for tlb, slots in zip(structures, other.slots):
+        assert [row[row >= 0].tolist() for row in slots] == tlb.sets
+
+
 def _run_both(config, segments, flush_after=frozenset()):
-    """Drive exact and batch engines through identical segments;
-    assert every stats array matches exactly."""
+    """Drive the exact engine and every engine of ``ENGINES`` through
+    identical segments; assert every stats array matches exactly."""
     exact = TranslationHierarchy(config)
-    batch = BatchTranslationHierarchy(config)
+    others = [cls(config) for cls in ENGINES.values()]
     exact_stats = TranslationStats()
-    batch_stats = TranslationStats()
+    other_stats = [TranslationStats() for _ in others]
     for i, (keys, aids) in enumerate(segments):
         trace = compress_trace(keys, aids)
         exact.simulate(trace, exact_stats)
-        batch.simulate(trace, batch_stats)
+        for other, stats in zip(others, other_stats):
+            other.simulate(trace, stats)
         if i in flush_after:
             exact.flush()
-            batch.flush()
-    np.testing.assert_array_equal(exact_stats.accesses, batch_stats.accesses)
-    np.testing.assert_array_equal(
-        exact_stats.l1_misses, batch_stats.l1_misses
-    )
-    np.testing.assert_array_equal(exact_stats.walks, batch_stats.walks)
+            for other in others:
+                other.flush()
+        for other in others:
+            _assert_same_state(exact, other)
+    for stats in other_stats:
+        for field in ("accesses", "l1_misses", "walks"):
+            np.testing.assert_array_equal(
+                getattr(exact_stats, field), getattr(stats, field)
+            )
     return exact_stats
 
 
@@ -115,6 +150,17 @@ def test_random_streams_match_exact(name, seed):
     segments = _random_segments(rng, num_segments=6, seg_size=800, num_pages=64)
     flush_after = {int(i) for i in rng.integers(0, 6, size=2)}
     _run_both(GEOMETRIES[name], segments, flush_after)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_wide_keys_match_exact(name):
+    """Keys above 2^32 (a 64 GB node's page numbers), mixed with low
+    keys whose low 32 bits they share."""
+    rng = np.random.default_rng(29)
+    segments = []
+    for keys, aids in _random_segments(rng, 4, 600, 96):
+        segments += [(keys, aids), (keys + (1 << 33), aids)]
+    _run_both(GEOMETRIES[name], segments, {3})
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
@@ -201,9 +247,10 @@ def _copy(trace):
 def test_repeated_trace_objects_match_exact(name, seed, monkeypatch):
     """The same trace objects simulated again and again, interleaved
     with other traces and flushes, match the exact engine after every
-    step.  A memo hit must also restore the exit state and the
-    per-structure hit and miss counters of a memo-free batch engine,
-    which only ever sees fresh copies."""
+    step, under the batch and native engines.  A batch memo hit must
+    also restore the exit state and the per-structure hit and miss
+    counters of a memo-free batch engine, which only ever sees fresh
+    copies."""
     rng = np.random.default_rng(seed)
     config = GEOMETRIES[name]
     closed = np.array([0, 2, 4, 1], dtype=np.int64)
@@ -234,7 +281,8 @@ def test_repeated_trace_objects_match_exact(name, seed, monkeypatch):
     exact = TranslationHierarchy(config)
     batch = BatchTranslationHierarchy(config)
     memo_free = BatchTranslationHierarchy(config)
-    engines = (exact, batch, memo_free)
+    natives = [NativeTranslationHierarchy(config)] if HAVE_NATIVE else []
+    engines = (exact, batch, memo_free, *natives)
     stats = [TranslationStats() for _ in engines]
     calls = 0
     for step in schedule:
@@ -246,6 +294,9 @@ def test_repeated_trace_objects_match_exact(name, seed, monkeypatch):
         exact.simulate(trace, stats[0])
         batch.simulate(trace, stats[1])
         memo_free.simulate(_copy(trace), stats[2])
+        for compiled, compiled_stats in zip(natives, stats[3:]):
+            compiled.simulate(trace, compiled_stats)
+            _assert_same_state(exact, compiled)
         calls += 1
         for other in stats[1:]:
             for field in ("accesses", "l1_misses", "walks"):
@@ -283,11 +334,113 @@ def test_make_hierarchy_engine_selection():
     assert isinstance(batch, BatchTranslationHierarchy)
     assert batch.engine == "batch"
     assert make_hierarchy("exact", config).engine == "exact"
-    # auto = batch after the one-time per-geometry self-check.
+    # auto = native after the one-time per-geometry self-check, batch
+    # where the kernel cannot be built.
     assert batch_engine_matches(config)
-    assert isinstance(
-        make_hierarchy("auto", config), BatchTranslationHierarchy
-    )
+    auto = make_hierarchy("auto", config)
+    if HAVE_NATIVE:
+        assert make_hierarchy("native", config).engine == "native"
+        assert batch_engine_matches(config, "native")
+        assert isinstance(auto, NativeTranslationHierarchy)
+    else:
+        assert type(auto) is BatchTranslationHierarchy
     with pytest.raises(ValueError):
         make_hierarchy("per-lookup", config)
-    assert set(TLB_ENGINES) == {"exact", "batch", "auto"}
+    assert set(TLB_ENGINES) == {"exact", "batch", "native", "auto"}
+
+
+@pytest.mark.parametrize("name", TLB_ENGINES)
+def test_every_engine_name_is_accepted(name):
+    """``RunConfig`` and ``--tlb-engine`` accept the same names."""
+    assert RunConfig(tlb_engine=name).tlb_engine == name
+    args = _build_parser().parse_args(
+        ["run", "--workload", "bfs", "--tlb-engine", name]
+    )
+    assert RunConfig.from_cli(args).tlb_engine == name
+
+
+@needs_native
+def test_native_access_one_matches_exact():
+    config = GEOMETRIES["split-12way"]
+    exact = TranslationHierarchy(config)
+    compiled = NativeTranslationHierarchy(config)
+    rng = np.random.default_rng(31)
+    for key in ((rng.integers(0, 40, size=400) << 1) | 1).tolist():
+        assert compiled.access_one(key) == exact.access_one(key)
+    _assert_same_state(exact, compiled)
+
+
+def test_no_compiler_falls_back_to_batch(monkeypatch, tmp_path):
+    """With no working compiler and an empty cache, ``auto`` picks the
+    batch engine and ``native`` is a clear error."""
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setattr(native, "cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(tlb_engine, "_auto_cache", {})
+    config = GEOMETRIES["split-12way"]
+    assert native.load() is None
+    assert type(make_hierarchy("auto", config)) is BatchTranslationHierarchy
+    with pytest.raises(ConfigError, match="native TLB engine"):
+        make_hierarchy("native", config)
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_native
+def test_concurrent_builds_share_one_library(tmp_path):
+    """Two processes building into one empty cache both load the kernel
+    and leave one library behind."""
+    env = dict(
+        os.environ,
+        XDG_CACHE_HOME=str(tmp_path),
+        PYTHONPATH=str(Path(native.__file__).parents[2]),
+    )
+    code = "from repro.tlb import native; exit(native.load() is None)"
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code], env=env)
+        for _ in range(2)
+    ]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    assert [p.name for p in (tmp_path / "repro").iterdir()] == [
+        native.library_name()
+    ]
+
+
+def _narrow(keys):
+    return keys.astype(np.int32).astype(np.int64)
+
+
+@needs_native
+def test_self_check_catches_32_bit_keys(monkeypatch):
+    """The probe's keys above 2^32 fail an engine that narrows them."""
+    config = GEOMETRIES["split-12way"]
+    monkeypatch.setattr(tlb_engine, "_auto_cache", {})
+    assert batch_engine_matches(config)
+    assert batch_engine_matches(config, "native")
+    monkeypatch.setattr(tlb_engine, "_auto_cache", {})
+    simulate = BatchTranslationHierarchy._simulate
+    lookups = NativeTranslationHierarchy._lookups
+    monkeypatch.setattr(
+        BatchTranslationHierarchy,
+        "_simulate",
+        lambda self, trace: simulate(
+            self, TlbTrace(_narrow(trace.keys), trace.counts, trace.array_ids)
+        ),
+    )
+    monkeypatch.setattr(
+        NativeTranslationHierarchy,
+        "_lookups",
+        lambda self, keys, aids: lookups(self, _narrow(keys), aids),
+    )
+    assert not batch_engine_matches(config)
+    assert not batch_engine_matches(config, "native")
+
+
+@needs_native
+def test_array_ids_beyond_max_are_refused():
+    """A miss by an array id past ``MAX_ARRAY_IDS`` raises, as in the
+    exact loop, instead of counting past the per-array counters."""
+    config = GEOMETRIES["split-12way"]
+    keys = np.array([2, 4], dtype=np.int64)
+    aids = np.array([1, 9], dtype=np.uint8)
+    for cls in (TranslationHierarchy, NativeTranslationHierarchy):
+        with pytest.raises(IndexError):
+            cls(config)._lookups(keys, aids)

@@ -25,6 +25,7 @@ from repro.machine.reuse import ComputeReuse
 from repro.mem.vmm import VirtualMemoryManager
 from repro.policy.tournament import BASELINE_SPEC, DEFAULT_POLICIES
 from repro.runstate.serialize import encode_result
+from repro.tlb import native
 from repro.tlb.engine import BatchTranslationHierarchy
 from repro.tlb.trace import AccessStream
 from repro.workloads.bfs import Bfs
@@ -33,7 +34,17 @@ from repro.workloads.pagerank import PageRank
 
 DATASET = "test-small"
 SCENARIOS = ("fresh", "fragmented:0.5", "oversubscribed")
-ENGINES = ("exact", "batch")
+ENGINES = (
+    "exact",
+    "batch",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            native.load() is None,
+            reason="the native kernel cannot be built here",
+        ),
+    ),
+)
 
 
 def _runner(config=None, **run_config) -> ExperimentRunner:
