@@ -9,7 +9,6 @@ phase when memory is oversubscribed.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 
 import numpy as np
 
@@ -21,6 +20,14 @@ from ..mem.vmm import VirtualMemoryManager, Vma
 from ..tlb.trace import AccessStream, TlbTrace, compress_trace
 from ..workloads.base import Workload
 from ..workloads.layout import MemoryLayout
+
+# Keys the swap pass decodes at a time (bounds its transient memory),
+# and the miss-search window it restarts at after each swap-in.
+_SWAP_BLOCK = 1 << 18
+_SWAP_WINDOW = 256
+# Insertion stamps of pages that are never and always resident.
+_NEVER = np.iinfo(np.int64).min
+_ALWAYS = np.iinfo(np.int64).max
 
 
 class SimProcess:
@@ -160,12 +167,24 @@ class SimProcess:
     def service_swap(self, trace: TlbTrace) -> tuple[int, int]:
         """Simulate demand paging over a trace under oversubscription.
 
-        Maintains a FIFO residency set sized by the pages that are
-        resident at trace start; every access to a non-resident base page
-        swaps it in and evicts the FIFO head (a frame-for-frame exchange —
-        the steady state of a thrashing system).  Charges swap I/O and
-        fault costs to the kernel ledger and returns ``(swap_ins,
+        The model is a FIFO residency set holding the base pages that are
+        resident at trace start, in mapping order then page order; every
+        access to a non-resident base page swaps it in and evicts the FIFO
+        head (a frame-for-frame exchange — the steady state of a thrashing
+        system).  Huge-mapped pages never enter the FIFO.  Charges swap
+        I/O and fault costs to the kernel ledger and returns ``(swap_ins,
         swap_outs)``.
+
+        The FIFO is held as insertion stamps, one per page: the ``C``
+        initial pages are stamped ``0 … C-1`` and each swap-in stamps its
+        page ``C + swap_ins`` before counting itself.  Only a non-resident
+        page is ever inserted, so the FIFO is exactly the ``C`` newest
+        stamps, and a page is resident iff its stamp is ``>= swap_ins``:
+        each swap-in evicts the head with no queue.  Huge keys map to one
+        sentinel page stamped always-resident.  Keys are decoded to page
+        slots in blocks of ``_SWAP_BLOCK``; within a block the next miss
+        is found by a galloping window that grows 4× on each clean window
+        and restarts at ``_SWAP_WINDOW`` keys after each swap-in.
 
         Residency is tracked per call; the VMM's page tables are not
         rewritten (the run's translation behaviour is unaffected: vpns do
@@ -175,37 +194,58 @@ class SimProcess:
             OutOfMemoryError: if a swapped-out page is accessed while no
                 base page is resident to make room for it.
         """
-        resident: dict[int, list[bool]] = {}
-        start_vpn = self._start_vpn
-        fifo: deque[tuple[int, int]] = deque()
-        for array_id, vma in self.vma_by_array.items():
-            flags = (vma.frame >= 0).tolist()
-            resident[array_id] = flags
-            for page, is_resident in enumerate(flags):
-                if is_resident and not vma.is_huge[page]:
-                    fifo.append((array_id, page))
+        vmas = self.vma_by_array
+        stamp = np.full(
+            sum(vma.frame.size for vma in vmas.values()) + 1,
+            _NEVER,
+            dtype=np.int64,
+        )
+        sentinel = stamp.size - 1
+        stamp[sentinel] = _ALWAYS
+        # Page slot of a base key: (key >> 1) + slot_shift[array id].
+        slot_shift = np.zeros(max(vmas, default=0) + 1, dtype=np.int64)
+        capacity = offset = 0
+        for array_id, vma in vmas.items():
+            resident = vma.frame >= 0
+            stamps = stamp[offset : offset + resident.size]
+            fifo = resident & ~vma.is_huge
+            count = int(np.count_nonzero(fifo))
+            stamps[fifo] = np.arange(capacity, capacity + count)
+            stamps[resident & vma.is_huge] = _ALWAYS
+            slot_shift[array_id] = offset - self._start_vpn[array_id]
+            capacity += count
+            offset += resident.size
         swap_ins = 0
-        keys = trace.keys.tolist()
-        aids = trace.array_ids.tolist()
-        for key, array_id in zip(keys, aids):
-            if key & 1:
-                continue  # huge-mapped pages were never swapped out
-            page = (key >> 1) - start_vpn[array_id]
-            flags = resident[array_id]
-            if flags[page]:
-                continue
-            # Exchange: evict the FIFO head, reuse its frame.  The FIFO
-            # holds exactly the resident base pages.
-            if not fifo:
-                raise OutOfMemoryError(
-                    f"swap-in of page {page} of array {array_id} has no "
-                    "resident base page to evict"
-                )
-            victim_aid, victim_page = fifo.popleft()
-            resident[victim_aid][victim_page] = False
-            flags[page] = True
-            fifo.append((array_id, page))
-            swap_ins += 1
+        keys, aids = trace.keys, trace.array_ids
+        for start in range(0, keys.size, _SWAP_BLOCK):
+            block = slice(start, start + _SWAP_BLOCK)
+            block_keys = keys[block]
+            slots = np.where(
+                block_keys & 1,
+                sentinel,
+                (block_keys >> 1) + slot_shift[aids[block]],
+            )
+            pos, width = 0, _SWAP_WINDOW
+            while pos < slots.size:
+                window = slots[pos : pos + width]
+                missing = stamp[window] < swap_ins
+                i = int(missing.argmax())
+                if not missing[i]:
+                    pos += window.size
+                    width = min(4 * width, _SWAP_BLOCK)
+                    continue
+                if not capacity:
+                    array_id = int(aids[start + pos + i])
+                    key = int(block_keys[pos + i])
+                    page = (key >> 1) - self._start_vpn[array_id]
+                    raise OutOfMemoryError(
+                        f"swap-in of page {page} of array {array_id} has no "
+                        "resident base page to evict"
+                    )
+                stamp[window[i]] = capacity + swap_ins
+                swap_ins += 1
+                pos += i + 1
+                width = _SWAP_WINDOW
         if swap_ins:
             ledger = self.vmm.node.ledger
             ledger.swap_in(swap_ins)
