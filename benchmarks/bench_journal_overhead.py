@@ -39,8 +39,8 @@ OVERHEAD_BUDGET = 0.02
 def _run_once(runner: ExperimentRunner, journal_path: Optional[str]) -> float:
     runner._cache.clear()
     runner.failures.clear()
-    runner.journal = (
-        RunJournal(journal_path) if journal_path is not None else None
+    runner.run_config = runner.run_config.replace(
+        journal=RunJournal(journal_path) if journal_path is not None else None
     )
     gc.collect()
     start = time.perf_counter()

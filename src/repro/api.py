@@ -28,9 +28,9 @@ The surface groups into:
   exporters and the event schema.
 - **Core contribution**: the page-size advisor and placement plans.
 - **Policy API** (docs/policies.md): the :class:`PagePolicy` hook
-  protocol, the read-only :class:`PolicyView`, the zoo registry
-  (:func:`register_policy` / :func:`get_policy`) and the
-  :func:`run_tournament` leaderboard harness.
+  protocol, the read-only :class:`PolicyView`, the policy registry
+  (:func:`register_policy` / :func:`get_policy`, which resolves every
+  policy name) and the :func:`run_tournament` leaderboard harness.
 """
 
 from .config import (
@@ -84,12 +84,7 @@ from .experiments.figures import (
     recommended_reorder,
     table2_datasets,
 )
-from .experiments.policies import (
-    autotuner_policy,
-    hugetlb_policy,
-    hotness_manager_policy,
-    utilization_manager_policy,
-)
+from .experiments.policies import hugetlb_policy
 from .experiments.scenarios import constrained, fragmented, fresh
 from .faults import FaultPlan
 from .graph import (
@@ -204,7 +199,6 @@ __all__ = [
     "ablation_promotion_path",
     "ablation_reorder",
     "apply_order",
-    "autotuner_policy",
     "batch_engine_matches",
     "constrained",
     "create_workload",
@@ -229,7 +223,6 @@ __all__ = [
     "get_policy",
     "get_profile",
     "headline_summary",
-    "hotness_manager_policy",
     "huge_page_budget",
     "hugetlb_policy",
     "load_dataset",
@@ -256,7 +249,6 @@ __all__ = [
     "table2_datasets",
     "tiny",
     "to_chrome_trace",
-    "utilization_manager_policy",
     "validate_trace_records",
     "work_loop",
     "write_chrome_trace",

@@ -209,9 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--policy",
         default="base4k",
-        help="policy name (see 'repro policies'), "
-        "selective:<s>[:<reorder>], or a zoo spec NAME[:k=v,...] "
-        "(e.g. 'ingens:threshold=0.8', 'advisor')",
+        help="policy spec NAME[:k=v,...] or selective:<s>[:<reorder>] "
+        "(see 'repro policies'; e.g. 'thp', 'ingens:threshold=0.8')",
     )
     run.add_argument(
         "--scenario",
@@ -235,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma list (default: all Table 2 inputs)")
     figure.add_argument(
         "--policy", action="append", default=None, metavar="SPEC",
-        help="(tournament only) zoo policy spec to enter; repeat or "
+        help="(tournament only) policy spec to enter; repeat or "
         "comma-separate (default: the stock lineup)",
     )
     figure.add_argument(
@@ -298,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tournament.add_argument(
         "--policies", default=None, metavar="SPECS",
-        help="comma list of zoo policy specs NAME[:k=v,...] "
+        help="comma list of policy specs NAME[:k=v,...] "
         "(default: the stock lineup; see 'repro policies')",
     )
     tournament.add_argument(
@@ -550,11 +549,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
         if not args.journal:
             raise ReproError("figure --chaos requires --journal PATH")
-        old = runner.journal
-        if old is not None:
-            old.close()
-        runner.journal = ChaosJournal(
-            args.journal, ChaosPlan.parse(args.chaos), lock=True
+        _close_runner(runner)
+        runner.run_config = runner.run_config.replace(
+            journal=ChaosJournal(
+                args.journal, ChaosPlan.parse(args.chaos), lock=True
+            )
         )
     coordinator = None
     if getattr(args, "distribute", None):
@@ -673,21 +672,15 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_policies(_args: argparse.Namespace) -> int:
-    from .experiments.policies import POLICIES
     from .policy.registry import registered_policies
 
-    for name, policy in POLICIES.items():
-        thp = policy.make_thp()
-        print(f"{name:16s} thp={thp.mode.value:8s} "
-              f"order={policy.plan.order.value:14s} "
-              f"reorder={policy.plan.reorder}")
-    print("selective:<s>[:<reorder>]   madvise s% of the property array")
-    print()
-    print("policy zoo — spec NAME[:k=v,...] anywhere --policy is "
-          "accepted (docs/policies.md):")
+    print("policy specs NAME[:k=v,...], accepted anywhere a policy is "
+          "(docs/policies.md):")
     for name, entry in registered_policies().items():
         tag = "  [dataset-aware]" if entry.dataset_aware else ""
         print(f"{name:16s} {entry.summary}{tag}")
+    print(f"{'selective:<s>[:<reorder>]':16s} DBG + madvise s of the "
+          "property array, 0 <= s <= 1")
     return 0
 
 

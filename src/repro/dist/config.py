@@ -88,14 +88,15 @@ class DistConfig:
         """The JSON-safe execution settings a worker rebuilds its
         runner from — everything that feeds the spec fingerprint, plus
         the translation engine (execution policy, outside it)."""
+        run_config = runner.run_config
         return {
             "profile": runner.config.name,
             "pagerank_iterations": runner.pagerank_iterations,
-            "retries": runner.max_retries,
-            "cell_budget": runner.cell_budget,
-            "cell_cycles": runner.cell_cycles,
-            "cell_deadline_seconds": runner.cell_deadline_seconds,
+            "retries": run_config.retries,
+            "cell_budget": run_config.cell_budget,
+            "cell_cycles": run_config.cell_cycles,
+            "cell_deadline_seconds": run_config.cell_deadline_seconds,
             "faults": self.faults_text,
             "fault_seed": self.fault_seed,
-            "tlb_engine": runner.run_config.tlb_engine,
+            "tlb_engine": run_config.tlb_engine,
         }

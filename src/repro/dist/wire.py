@@ -26,23 +26,19 @@ from ..experiments.parse import parse_policy, parse_scenario
 
 
 def _policy_candidates(policy: Any) -> list[str]:
-    from ..experiments.policies import POLICIES
-
-    candidates = []
-    for key, registered in POLICIES.items():
-        if registered is policy or registered.name == policy.name:
-            candidates.append(key)
-    # Parameterized selective policies: derive selective:<s>[:<reorder>]
-    # from the placement plan.  Candidates are only *candidates* — the
-    # fingerprint round-trip in encode_cell discards wrong guesses.
+    # A registered policy's name is its spec (fixed policies, bare zoo
+    # entries, canonical NAME:k=v specs).  Parameterized selective
+    # policies: derive selective:<s>[:<reorder>] from the placement
+    # plan.  Candidates are only *candidates* — the fingerprint
+    # round-trip in encode_cell discards wrong guesses.
+    candidates = [policy.name]
     fractions = dict(getattr(policy.plan, "advise_fractions", {}) or {})
     if len(fractions) == 1:
         (fraction,) = fractions.values()
         reorder = policy.plan.reorder
         candidates.append(f"selective:{fraction:g}:{reorder}")
         candidates.append(f"selective:{fraction:g}")
-    candidates.append(policy.name)
-    return list(dict.fromkeys(candidates))
+    return candidates
 
 
 def _scenario_candidates(scenario: Any) -> list[str]:

@@ -157,8 +157,8 @@ class _PlanningRunner:
 def _parallel_figure(func: Callable) -> Callable:
     """Give a figure function a parallel fast path.
 
-    With ``runner.workers`` at the default ``1`` this is a no-op.  With
-    fan-out enabled, the figure body first runs against a
+    With ``runner.run_config.workers`` at the default ``1`` this is a
+    no-op.  With fan-out enabled, the figure body first runs against a
     :class:`_PlanningRunner` to discover its cells, the batch executes
     on the process pool via :meth:`~repro.experiments.harness
     .ExperimentRunner.run_cells` (which owns dedupe, journal order and

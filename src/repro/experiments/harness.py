@@ -45,7 +45,6 @@ runaway cells as ``FAILED(watchdog)``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -237,22 +236,6 @@ def run_cells(
     return runner.run_cells(cells)
 
 
-_LEGACY_RUNNER_KWARGS = {
-    # constructor keyword -> RunConfig field
-    "fault_plan": "faults",
-    "max_retries": "retries",
-    "cell_budget": "cell_budget",
-    "journal": "journal",
-    "resume": "resume",
-    "cell_cycles": "cell_cycles",
-    "cell_deadline_seconds": "cell_deadline_seconds",
-    "workers": "workers",
-}
-"""Pre-:class:`~repro.experiments.runconfig.RunConfig` constructor
-keywords, kept as deprecation shims (they warn, then fold into the run
-config)."""
-
-
 class ExperimentRunner:
     """Runs and caches experiment cells on one machine profile.
 
@@ -263,11 +246,10 @@ class ExperimentRunner:
         runner = ExperimentRunner(run_config=RunConfig(workers=4,
                                                        trace=True))
 
-    The historical flat keywords (``workers=``, ``journal=``,
-    ``fault_plan=``, ...) still work but emit ``DeprecationWarning``
-    and fold into the run config; the matching attributes
-    (``runner.workers``, ``runner.journal``, ...) remain readable and
-    writable as thin views over ``runner.run_config``.
+    Change a knob between batches by replacing the frozen config, e.g.
+    ``runner.run_config = runner.run_config.replace(retries=0)``, so
+    validation always holds; :attr:`journal` is a read-only view of
+    ``run_config.journal``.
 
     Attributes:
         config: machine profile (default SCALED).
@@ -295,33 +277,12 @@ class ExperimentRunner:
         pagerank_iterations: int = 3,
         datasets: tuple[str, ...] = EVALUATION_DATASETS,
         capture_failures: bool = True,
-        **legacy: Any,
     ) -> None:
         self.config = config if config is not None else scaled()
         self.pagerank_iterations = pagerank_iterations
         self.datasets = datasets
         self.capture_failures = capture_failures
-        overrides: dict[str, Any] = {}
-        for name, value in legacy.items():
-            try:
-                target = _LEGACY_RUNNER_KWARGS[name]
-            except KeyError:
-                raise TypeError(
-                    "ExperimentRunner() got an unexpected keyword "
-                    f"argument {name!r}"
-                ) from None
-            warnings.warn(
-                f"ExperimentRunner({name}=...) is deprecated; pass "
-                f"run_config=RunConfig({target}=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides[target] = value
-        if run_config is None:
-            run_config = RunConfig(**overrides)
-        elif overrides:
-            run_config = run_config.replace(**overrides)
-        self.run_config = run_config
+        self.run_config = run_config if run_config is not None else RunConfig()
         self.failures: list[CellFailure] = []
         self.trace_log: list[dict[str, Any]] = []
         self.metrics = MetricsRegistry()
@@ -356,79 +317,10 @@ class ExperimentRunner:
         """Compute memo and batch stream store (:mod:`repro.machine
         .reuse`); counts ``reuse.*`` into :attr:`metrics`."""
 
-    # ------------------------------------------------------------------
-    # Compatibility views over the run config.  Readable and writable
-    # (tests and notebooks tweak knobs between batches); writes rebuild
-    # the frozen RunConfig so validation always holds.
-    # ------------------------------------------------------------------
-
-    @property
-    def fault_plan(self) -> Optional[FaultPlan]:
-        return self.run_config.faults
-
-    @fault_plan.setter
-    def fault_plan(self, value: Optional[FaultPlan]) -> None:
-        self.run_config = self.run_config.replace(faults=value)
-
-    @property
-    def max_retries(self) -> int:
-        return self.run_config.retries
-
-    @max_retries.setter
-    def max_retries(self, value: int) -> None:
-        self.run_config = self.run_config.replace(retries=value)
-
-    @property
-    def cell_budget(self) -> Optional[int]:
-        return self.run_config.cell_budget
-
-    @cell_budget.setter
-    def cell_budget(self, value: Optional[int]) -> None:
-        self.run_config = self.run_config.replace(cell_budget=value)
-
     @property
     def journal(self) -> Optional[RunJournal]:
+        """The run config's journal (read-only)."""
         return self.run_config.journal
-
-    @journal.setter
-    def journal(self, value: Optional[RunJournal]) -> None:
-        self.run_config = self.run_config.replace(journal=value)
-
-    @property
-    def resume(self) -> bool:
-        return self.run_config.resume
-
-    @resume.setter
-    def resume(self, value: bool) -> None:
-        self.run_config = self.run_config.replace(resume=value)
-
-    @property
-    def cell_cycles(self) -> Optional[int]:
-        return self.run_config.cell_cycles
-
-    @cell_cycles.setter
-    def cell_cycles(self, value: Optional[int]) -> None:
-        self.run_config = self.run_config.replace(cell_cycles=value)
-
-    @property
-    def cell_deadline_seconds(self) -> Optional[float]:
-        return self.run_config.cell_deadline_seconds
-
-    @cell_deadline_seconds.setter
-    def cell_deadline_seconds(self, value: Optional[float]) -> None:
-        self.run_config = self.run_config.replace(
-            cell_deadline_seconds=value
-        )
-
-    @property
-    def workers(self) -> int:
-        return self.run_config.workers
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        self.run_config = self.run_config.replace(workers=value)
-
-    # ------------------------------------------------------------------
 
     @property
     def effective_fault_plan(self) -> Optional[FaultPlan]:
@@ -465,7 +357,7 @@ class ExperimentRunner:
             cell_coords = self._cell_coords(
                 workload_name, dataset_name, policy, scenario
             )
-            if self.resume:
+            if self.run_config.resume:
                 recorded = self.journal.result(spec)
                 if recorded is not None:
                     self._cache[key] = recorded
@@ -610,7 +502,7 @@ class ExperimentRunner:
             # Distributed dispatch is orthogonal to the CPU clamp: a
             # 1-CPU coordinator host still shards across remote workers.
             return self._run_cells_parallel(cells)
-        workers = self.workers
+        workers = self.run_config.workers
         if workers != 1 and len(cells) > 1 and self.capture_failures:
             import os
 
@@ -676,7 +568,7 @@ class ExperimentRunner:
             if cached is not None:
                 results[i] = cached
                 continue
-            if self.journal is not None and self.resume:
+            if self.journal is not None and self.run_config.resume:
                 recorded = self.journal.result(self.cell_spec(*cell))
                 if recorded is not None:
                     # Resume hit: cached without journal writes, exactly
@@ -708,7 +600,7 @@ class ExperimentRunner:
                     )
                 outcomes = execute_cells(
                     self, [cells[i] for i in dispatch],
-                    resolve_workers(self.workers),
+                    resolve_workers(self.run_config.workers),
                 )
             executed = dict(zip(dispatch, outcomes))
 
@@ -767,9 +659,9 @@ class ExperimentRunner:
             self.pagerank_iterations,
             self.config.name,
             self.effective_fault_plan,
-            self.max_retries,
-            self.cell_budget,
-            self.cell_cycles,
+            self.run_config.retries,
+            self.run_config.cell_budget,
+            self.run_config.cell_cycles,
         )
 
     def _stream_id(
@@ -837,7 +729,7 @@ class ExperimentRunner:
                     graph, preprocess_accesses, injector,
                 )
             except InjectedFaultError as error:
-                if attempts <= self.max_retries:
+                if attempts <= self.run_config.retries:
                     # Deterministic simulated backoff, charged to the
                     # surviving run's kernel-time ledger.
                     retry_cycles += retry_backoff_cycles(attempts)
@@ -893,9 +785,9 @@ class ExperimentRunner:
             pagerank_iterations=self.pagerank_iterations,
             profile_name=self.config.name,
             fault_plan=self.effective_fault_plan,
-            max_retries=self.max_retries,
-            cell_budget=self.cell_budget,
-            cell_cycles=self.cell_cycles,
+            max_retries=self.run_config.retries,
+            cell_budget=self.run_config.cell_budget,
+            cell_cycles=self.run_config.cell_cycles,
         )
 
     def _simulate_cell(
@@ -924,11 +816,15 @@ class ExperimentRunner:
         self._apply_scenario(machine, scenario, layout, policy.plan)
         # A fresh watchdog per attempt: retries must not inherit an
         # already-spent cycle budget or wall-clock window.
+        run_config = self.run_config
         watchdog = None
-        if self.cell_cycles is not None or self.cell_deadline_seconds is not None:
+        if (
+            run_config.cell_cycles is not None
+            or run_config.cell_deadline_seconds is not None
+        ):
             watchdog = CellWatchdog(
-                max_cycles=self.cell_cycles,
-                deadline_seconds=self.cell_deadline_seconds,
+                max_cycles=run_config.cell_cycles,
+                deadline_seconds=run_config.cell_deadline_seconds,
             )
         return machine.run(
             workload,
@@ -938,7 +834,7 @@ class ExperimentRunner:
             preprocess_accesses=preprocess_accesses,
             dataset=dataset_name,
             manager=policy.make_manager(),
-            access_budget=self.cell_budget,
+            access_budget=run_config.cell_budget,
             watchdog=watchdog,
             reuse=self._reuse.cell(
                 self._stream_id(workload_name, dataset_name, policy, scenario)

@@ -7,60 +7,23 @@ CLI and :mod:`repro.dist` workers can reach them.
 
 Grammar (same as the CLI flags):
 
-- policy: a name from ``POLICIES``, ``selective:<s>[:<reorder>]``, or
-  a zoo spec ``NAME[:k=v,...]`` from the policy registry
-  (:mod:`repro.policy.registry` — see ``repro policies``);
+- policy: a spec ``NAME[:k=v,...]`` or ``selective:<s>[:<reorder>]``
+  resolved by the policy registry (:mod:`repro.policy.registry` — see
+  ``repro policies``);
 - scenario: a name from ``SCENARIOS``, or ``constrained:<gb>``, or
   ``fragmented:<level>[:<gb>]``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import ReproError
+from ..policy.registry import get_policy
 
 
-def parse_policy(spec: str, dataset: Optional[str] = None, config=None):
-    """Resolve a policy spec string to a ``PolicyCell``.
-
-    The historical grammar (``POLICIES`` names,
-    ``selective:<s>[:<reorder>]``) resolves first — their names and
-    journal fingerprints are pinned — then the zoo registry.
-    ``dataset``/``config`` are forwarded to dataset-aware zoo entries
-    (``advisor`` derives its plan from the input graph)."""
-    from .policies import POLICIES, selective_policy
-
-    if spec.startswith("selective:"):
-        parts = spec.split(":")
-        try:
-            fraction = float(parts[1])
-        except (IndexError, ValueError) as exc:
-            raise ReproError(
-                f"bad selective policy spec {spec!r}: expected "
-                "selective:<s>[:<reorder>]"
-            ) from exc
-        reorder = parts[2] if len(parts) > 2 else "dbg"
-        return selective_policy(fraction, reorder=reorder)
-    if spec in POLICIES:
-        return POLICIES[spec]
-    from ..policy.registry import (
-        get_policy,
-        parse_policy_spec,
-        registered_policies,
-    )
-
-    try:
-        name, _ = parse_policy_spec(spec)
-    except ReproError:
-        name = None
-    if name is not None and name in registered_policies():
-        return get_policy(spec, dataset=dataset, config=config)
-    raise ReproError(
-        f"unknown policy {spec!r}; known: "
-        + ", ".join(sorted(set(POLICIES) | set(registered_policies())))
-        + ", selective:<s>[:<reorder>], and zoo specs NAME[:k=v,...]"
-    )
+parse_policy = get_policy
+"""Resolve a policy spec string to a ``Policy``: the registry's one
+resolver (:func:`repro.policy.registry.get_policy`), under the name the
+CLI and :mod:`repro.dist` import."""
 
 
 def parse_scenario(spec: str):

@@ -1,8 +1,10 @@
 """Named page-management policies (the bars of the paper's figures).
 
 A :class:`Policy` pairs a THP kernel configuration with a placement plan
-(allocation order, madvise ranges, reordering).  The registry covers
-every policy the paper evaluates:
+(allocation order, madvise ranges, reordering).  The fixed table
+:data:`POLICIES` covers every policy the paper evaluates; names resolve
+through :mod:`repro.policy.registry`, which registers each entry under
+its key:
 
 - ``base4k`` — THP disabled system-wide (the baseline, green bars);
 - ``thp`` — Linux's greedy system-wide THP with the natural allocation
@@ -19,12 +21,12 @@ every policy the paper evaluates:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.plan import PlacementPlan
 from ..core.selective import selective_property_plan
+from ..errors import ConfigError
 from ..mem.heuristics import HugePageManager
 from ..mem.thp import ThpPolicy
 from ..workloads.base import (
@@ -106,14 +108,25 @@ POLICIES: dict[str, Policy] = {
         plan=PlacementPlan(reorder="dbg", label="dbg+thp"),
     ),
 }
-"""Registry of the paper's fixed policies."""
+"""The paper's fixed policies, registered under these names (plus the
+``never`` / ``greedy-always`` / ``madvise`` aliases) in
+:mod:`repro.policy.registry`."""
 
 
 def selective_policy(
     fraction: float, reorder: str = "dbg"
 ) -> Policy:
     """Selective THP: madvise the leading ``fraction`` of the property
-    array on a (optionally DBG-reordered) graph, property-first order."""
+    array on a (optionally DBG-reordered) graph, property-first order.
+
+    Raises:
+        ConfigError: ``fraction`` is outside [0, 1] or NaN (such a plan
+            would silently run a 4KB cell under a selective label).
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(
+            f"selective fraction must be in [0, 1], got {fraction}"
+        )
     plan = selective_property_plan(fraction, reorder=reorder)
     return Policy(
         name=plan.label,
@@ -136,80 +149,3 @@ def hugetlb_policy(fraction: float = 1.0, reorder: str = "dbg") -> Policy:
             label=f"hugetlb(s={fraction:.0%},{reorder})",
         ),
     )
-
-
-def _zoo_builder(name: str):
-    """The registered zoo builder for ``name`` (shims delegate here so
-    the registry is the single construction path)."""
-    from ..policy.registry import registered_policies
-
-    return registered_policies()[name].builder
-
-
-def utilization_manager_policy(
-    threshold: float = 0.9, promotions_per_pass: int = 8
-) -> Policy:
-    """Deprecated shim: build the Ingens-style policy via the registry.
-
-    .. deprecated::
-        Use ``repro.policy.registry.get_policy("ingens[:threshold=...,
-        per_pass=...]")``.  Kept so historical call sites keep working;
-        materializes the identical policy (same name, same journal
-        fingerprint)."""
-    warnings.warn(
-        "utilization_manager_policy() is deprecated; use "
-        "repro.policy.registry.get_policy('ingens:threshold=...,"
-        "per_pass=...') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _zoo_builder("ingens")(
-        threshold=threshold, per_pass=promotions_per_pass
-    )
-
-
-def hotness_manager_policy(promotions_per_pass: int = 8) -> Policy:
-    """Deprecated shim: build the HawkEye-style policy via the registry.
-
-    .. deprecated::
-        Use ``repro.policy.registry.get_policy("hawkeye[:per_pass=...]"
-        )``.  Materializes the identical policy."""
-    warnings.warn(
-        "hotness_manager_policy() is deprecated; use "
-        "repro.policy.registry.get_policy('hawkeye:per_pass=...') "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _zoo_builder("hawkeye")(per_pass=promotions_per_pass)
-
-
-def autotuner_policy(
-    coverage_target: float = 0.85, max_chunks: Optional[int] = None
-) -> Policy:
-    """Deprecated shim: build the online-autotuner policy via the
-    registry.
-
-    .. deprecated::
-        Use ``repro.policy.registry.get_policy("autotuner[:coverage=...,
-        max_chunks=...]")``.  Materializes the identical policy."""
-    warnings.warn(
-        "autotuner_policy() is deprecated; use "
-        "repro.policy.registry.get_policy('autotuner:coverage=...,"
-        "max_chunks=...') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _zoo_builder("autotuner")(
-        coverage=coverage_target, max_chunks=max_chunks
-    )
-
-
-def get_policy(name: str) -> Policy:
-    """Look up a fixed policy by name.
-
-    Raises:
-        KeyError: if the name is unknown (selective policies are built
-        with :func:`selective_policy`, not looked up).
-    """
-    return POLICIES[name]

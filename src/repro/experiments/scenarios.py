@@ -15,8 +15,11 @@ unbounded performance (§4.3.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+from ..errors import ConfigError
 
 DEFAULT_NONMOVABLE_NOISE_GB = 2.25
 """Non-movable background noise in pressured scenarios ("GB" units)."""
@@ -33,9 +36,10 @@ class Scenario:
         name: scenario label in reports.
         pressure_gb: free memory left beyond the application's working
             set, in "GB" units.  ``None`` = fresh boot (no memhog, no
-            noise).  Negative values oversubscribe memory (swap).
-        frag_level: fraction of available memory fragmented with
-            non-movable sentinels by the ``frag`` tool (§4.4.1).
+            noise).  Negative values oversubscribe memory (swap); it
+            must be finite.
+        frag_level: fraction in [0, 1] of available memory fragmented
+            with non-movable sentinels by the ``frag`` tool (§4.4.1).
         noise_nonmovable_gb / noise_movable_gb: background-noise sizes;
             only applied when ``pressure_gb`` is not None.
         tmpfs_remote: stage the input file's page cache on the remote
@@ -50,6 +54,20 @@ class Scenario:
     noise_nonmovable_gb: float = DEFAULT_NONMOVABLE_NOISE_GB
     noise_movable_gb: float = DEFAULT_MOVABLE_NOISE_GB
     tmpfs_remote: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.frag_level <= 1.0:
+            raise ConfigError(
+                f"scenario {self.name!r}: frag_level must be in [0, 1], "
+                f"got {self.frag_level}"
+            )
+        if self.pressure_gb is not None and not math.isfinite(
+            self.pressure_gb
+        ):
+            raise ConfigError(
+                f"scenario {self.name!r}: pressure_gb must be finite, "
+                f"got {self.pressure_gb}"
+            )
 
     @property
     def is_pressured(self) -> bool:

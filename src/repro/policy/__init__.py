@@ -10,8 +10,8 @@ policy-research platform:
 - :mod:`repro.policy.builtin` — the built-in ``never`` / ``always`` /
   ``madvise`` modes expressed as a hook (pinned byte-identical to the
   historical hardwired paths);
-- :mod:`repro.policy.registry` — the name-keyed zoo registry behind
-  ``--policy NAME[:k=v,...]``;
+- :mod:`repro.policy.registry` — the name-keyed registry, the one
+  resolver behind ``--policy NAME[:k=v,...]``;
 - :mod:`repro.policy.zoo` — the shipped policy zoo;
 - :mod:`repro.policy.tournament` — the leaderboard harness behind
   ``repro tournament``.

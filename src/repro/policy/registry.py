@@ -1,11 +1,14 @@
-"""Name-keyed policy registry behind ``--policy NAME[:k=v,...]``.
+"""Name-keyed policy registry: the one place a spec becomes a policy.
 
-The registry maps stable *zoo names* to builders that materialize
-:class:`~repro.experiments.policies.Policy` objects.  Specs have the
-grammar::
+The registry maps stable names to builders that materialize
+:class:`~repro.experiments.policies.Policy` objects; ``--policy``,
+:mod:`repro.api` and the tournament all resolve through
+:func:`get_policy`.  Specs have the grammar::
 
     NAME                      # defaults
     NAME:k=v[,k=v...]         # explicit parameters
+    selective:<s>[:<reorder>] # DBG + madvise leading s of the property
+                              # array (the paper's Fig. 10/11 bars)
 
 Values parse as int, then float, then the keywords ``true`` / ``false``
 / ``none``, else stay strings.  When explicit parameters are present
@@ -13,9 +16,10 @@ the materialized policy is *renamed* to the canonical spec
 (``NAME:k=v,...`` with keys sorted), so two parameterizations of the
 same entry always produce distinct journal spec fingerprints — even
 for parameters the builder does not fold into its own label.  A bare
-``NAME`` keeps the builder's native name, so default lookups stay
-fingerprint-compatible with the historical fixed policies
-(``never`` materializes as ``base4k``, etc.).
+``NAME`` keeps the builder's native name: the paper's fixed
+``POLICIES`` are registered under their own names and materialize the
+table entries themselves, and their aliases do too (``never``
+materializes as ``base4k``), so names and fingerprints never move.
 
 Some entries are *dataset-aware* (the static ``advisor`` derives its
 plan from the input graph); :func:`get_policy` forwards ``dataset`` and
@@ -165,6 +169,21 @@ def canonical_spec(name: str, params: dict[str, Any]) -> str:
     return f"{name}:{body}"
 
 
+def _selective(spec: str) -> "Policy":
+    from ..experiments.policies import selective_policy
+
+    parts = spec.split(":")
+    try:
+        fraction = float(parts[1])
+    except (IndexError, ValueError) as exc:
+        raise ReproError(
+            f"bad selective policy spec {spec!r}: expected "
+            "selective:<s>[:<reorder>]"
+        ) from exc
+    reorder = parts[2] if len(parts) > 2 else "dbg"
+    return selective_policy(fraction, reorder=reorder)
+
+
 def get_policy(
     spec: str,
     *,
@@ -174,7 +193,8 @@ def get_policy(
     """Materialize the policy named by ``spec``.
 
     Args:
-        spec: ``NAME[:k=v,...]`` against the registry.
+        spec: ``NAME[:k=v,...]`` against the registry, or
+            ``selective:<s>[:<reorder>]`` with ``0 <= s <= 1``.
         dataset: dataset name forwarded to dataset-aware builders (the
             static ``advisor`` needs the graph it is advising on).
         config: machine configuration forwarded to dataset-aware
@@ -182,15 +202,19 @@ def get_policy(
 
     Raises:
         ReproError: unknown name, malformed spec, or parameters the
-            builder rejects.
+            builder rejects (:class:`~repro.errors.ConfigError` for a
+            selective fraction outside [0, 1]).
     """
+    if spec.startswith("selective:"):
+        return _selective(spec)
     name, params = parse_policy_spec(spec)
     _ensure_zoo()
     entry = _REGISTRY.get(name)
     if entry is None:
         raise ReproError(
-            f"unknown zoo policy {name!r}; registered: "
+            f"unknown policy {name!r}; registered: "
             + ", ".join(sorted(_REGISTRY))
+            + ", and selective:<s>[:<reorder>]"
         )
     kwargs: dict[str, Any] = dict(params)
     if entry.dataset_aware:

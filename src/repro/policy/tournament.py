@@ -1,6 +1,6 @@
 """The policy tournament: every zoo policy, every scenario, ranked.
 
-:func:`run_tournament` sweeps a set of zoo policies (spec strings
+:func:`run_tournament` sweeps a set of policies (spec strings
 resolved through :mod:`repro.policy.registry`) across scenario axes —
 pristine, fragmented, memory-constrained machines — on the runner's
 datasets, normalizes each cell against the 4KB baseline in the *same*
@@ -72,7 +72,8 @@ def run_tournament(
     Args:
         runner: the experiment harness to run cells on (its journal,
             workers and dist settings are reused unchanged).
-        policies: zoo policy specs (``NAME[:k=v,...]``) to rank.
+        policies: policy specs (``NAME[:k=v,...]`` or
+            ``selective:<s>[:<reorder>]``) to rank.
         scenarios: scenario specs (strings through
             :func:`~repro.experiments.parse.parse_scenario`) or
             :class:`~repro.experiments.scenarios.Scenario` objects.

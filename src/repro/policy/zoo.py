@@ -4,10 +4,13 @@ Each entry is a builder that materializes an
 :class:`~repro.experiments.policies.Policy` (THP configuration +
 placement plan + optional run-time manager), registered with the
 :mod:`~repro.policy.registry` under a stable name so ``--policy
-NAME[:k=v,...]`` works anywhere a fixed policy name does.
+NAME[:k=v,...]`` resolves through one namespace everywhere.
 
 The shipped zoo spans the paper's design space:
 
+- the nine fixed ``POLICIES`` bars (``base4k``, ``thp``, ``thp-opt``,
+  ``madv-*``, ``dbg``, ``dbg+thp``) under their own names, each
+  materializing the table entry itself;
 - ``never`` / ``greedy-always`` / ``madvise`` — the three Linux THP
   modes (aliases of the paper's ``base4k`` / ``thp`` /
   ``madv-property`` bars);
@@ -36,7 +39,15 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..mem.heuristics import HotnessManager
+from ..core.plan import PlacementPlan
+from ..experiments.policies import (
+    POLICIES,
+    Policy,
+    hugetlb_policy,
+    selective_policy,
+)
+from ..mem.heuristics import HotnessManager, UtilizationManager
+from ..mem.thp import ThpMode, ThpPolicy
 from ..mem.vmm import Vma
 from .hooks import (
     BASE_PAGES,
@@ -192,29 +203,26 @@ class SampledHotnessManager(HotnessManager):
 # ----------------------------------------------------------------------
 
 
-def _never_builder():
-    from ..experiments.policies import POLICIES
-
-    return POLICIES["base4k"]
-
-
-def _greedy_builder():
-    from ..experiments.policies import POLICIES
-
-    return POLICIES["thp"]
+def _fixed_builder(policy: Policy):
+    """A builder returning the fixed table entry itself, so a fixed
+    name (or an alias of one) keeps its name and journal spec
+    fingerprint."""
+    return lambda: policy
 
 
-def _madvise_builder():
-    from ..experiments.policies import POLICIES
+_FIXED_BUILDERS = {
+    name: _fixed_builder(policy) for name, policy in POLICIES.items()
+}
 
-    return POLICIES["madv-property"]
+_ALIASES = {
+    "never": "base4k",
+    "greedy-always": "thp",
+    "madvise": "madv-property",
+}
+"""The three Linux THP modes, as aliases of the paper's bars."""
 
 
 def _khugepaged_builder():
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-    from ..mem.thp import ThpMode, ThpPolicy
-
     return Policy(
         name="khugepaged",
         thp_factory=lambda: ThpPolicy(
@@ -225,8 +233,6 @@ def _khugepaged_builder():
 
 
 def _paper_selective_builder(s: float = 0.5, reorder: str = "dbg"):
-    from ..experiments.policies import selective_policy
-
     return selective_policy(
         float(s), reorder="none" if reorder is None else str(reorder)
     )
@@ -241,9 +247,7 @@ def _advisor_builder(
     """The static advisor's plan for ``dataset`` (graph-derived)."""
     from ..core.advisor import PageSizeAdvisor
     from ..errors import ReproError
-    from ..experiments.policies import Policy
     from ..graph.datasets import load_dataset
-    from ..mem.thp import ThpMode, ThpPolicy
 
     if dataset is None:
         raise ReproError(
@@ -268,17 +272,12 @@ def _manager_thp():
     """THP configuration under a run-time manager: the kernel stays
     passive (no fault-time allocation, no khugepaged) and the manager
     owns promotion."""
-    from ..mem.thp import ThpMode, ThpPolicy
-
     return ThpPolicy(
         mode=ThpMode.ALWAYS, fault_alloc=False, khugepaged_enabled=False
     )
 
 
 def _hawkeye_builder(per_pass: int = 8):
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-
     return Policy(
         name="hawkeye",
         thp_factory=_manager_thp,
@@ -290,9 +289,6 @@ def _hawkeye_builder(per_pass: int = 8):
 
 
 def _hawkeye_bits_builder(stride: int = 8, per_pass: int = 8):
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-
     stride = int(stride)
     return Policy(
         name=f"hawkeye-bits(k={stride})",
@@ -305,10 +301,6 @@ def _hawkeye_bits_builder(stride: int = 8, per_pass: int = 8):
 
 
 def _ingens_builder(threshold: float = 0.9, per_pass: int = 8):
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-    from ..mem.heuristics import UtilizationManager
-
     threshold = float(threshold)
     return Policy(
         name=f"ingens(u={threshold:.0%})",
@@ -325,9 +317,6 @@ def _autotuner_builder(
     coverage: float = 0.85, max_chunks: Optional[int] = None
 ):
     from ..core.autotuner import OnlineAdvisor
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-    from ..mem.thp import ThpMode, ThpPolicy
 
     coverage = float(coverage)
     max_chunks = None if max_chunks is None else int(max_chunks)
@@ -345,8 +334,6 @@ def _autotuner_builder(
 
 
 def _hugetlb_builder(fraction: float = 1.0, reorder: str = "dbg"):
-    from ..experiments.policies import hugetlb_policy
-
     return hugetlb_policy(
         float(fraction), reorder="none" if reorder is None else str(reorder)
     )
@@ -358,16 +345,10 @@ def _hugetlb_builder(fraction: float = 1.0, reorder: str = "dbg"):
 
 
 def _thp_direct_builder():
-    from ..experiments.policies import POLICIES, Policy
-    from ..mem.thp import ThpPolicy
-
     return Policy("thp-direct", ThpPolicy.always, POLICIES["thp-opt"].plan)
 
 
 def _thp_khugepaged_builder():
-    from ..experiments.policies import POLICIES, Policy
-    from ..mem.thp import ThpMode, ThpPolicy
-
     return Policy(
         "thp-khugepaged",
         lambda: ThpPolicy(mode=ThpMode.ALWAYS, fault_alloc=False),
@@ -376,9 +357,6 @@ def _thp_khugepaged_builder():
 
 
 def _thp_defer_builder():
-    from ..experiments.policies import POLICIES, Policy
-    from ..mem.thp import ThpMode, ThpPolicy
-
     return Policy(
         "thp-defer",
         lambda: ThpPolicy(
@@ -392,9 +370,6 @@ def _thp_defer_builder():
 
 
 def _thp_opt_defer_builder():
-    from ..experiments.policies import POLICIES, Policy
-    from ..mem.thp import ThpMode, ThpPolicy
-
     return Policy(
         "thp-opt-defer",
         lambda: ThpPolicy(
@@ -408,19 +383,18 @@ def _thp_opt_defer_builder():
 
 def register_zoo() -> None:
     """Register the shipped zoo (idempotent; called at registry import)."""
-    register_policy(
-        "never", _never_builder,
-        summary="THP off: the paper's 4KB baseline (alias of base4k)",
-    )
-    register_policy(
-        "greedy-always", _greedy_builder,
-        summary="system-wide THP, natural order (alias of thp)",
-    )
-    register_policy(
-        "madvise", _madvise_builder,
-        summary="programmer-advised THP on the property array "
-        "(alias of madv-property)",
-    )
+    for name, policy in POLICIES.items():
+        thp = policy.make_thp()
+        register_policy(
+            name, _FIXED_BUILDERS[name],
+            summary=f"thp={thp.mode.value} "
+            f"order={policy.plan.order.value} "
+            f"reorder={policy.plan.reorder}",
+        )
+    for alias, name in _ALIASES.items():
+        register_policy(
+            alias, _FIXED_BUILDERS[name], summary=f"alias of {name}"
+        )
     register_policy(
         "khugepaged", _khugepaged_builder,
         summary="no fault-time allocation; background promotion only",

@@ -4,12 +4,10 @@ reporting."""
 import pytest
 
 from repro.config import tiny
+from repro.errors import ConfigError
 from repro.experiments.harness import ExperimentRunner
-from repro.experiments.policies import (
-    POLICIES,
-    get_policy,
-    selective_policy,
-)
+from repro.experiments.parse import parse_scenario
+from repro.experiments.policies import POLICIES, selective_policy
 from repro.experiments.reporting import format_table, geomean
 from repro.experiments.scenarios import (
     SCENARIOS,
@@ -20,6 +18,7 @@ from repro.experiments.scenarios import (
     oversubscribed,
 )
 from repro.mem.thp import ThpMode
+from repro.policy.registry import get_policy
 
 
 @pytest.fixture
@@ -60,6 +59,25 @@ class TestScenarios:
 
     def test_scenarios_hashable(self):
         assert len({fresh(), constrained(1.0), constrained(1.0)}) == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("fragmented:-0.5", "frag_level"),
+            ("fragmented:nan", "frag_level"),
+            ("fragmented:1.5", "frag_level"),
+            ("constrained:nan", "pressure_gb"),
+            ("constrained:inf", "pressure_gb"),
+        ],
+    )
+    def test_malformed_specs_rejected_when_built(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_scenario(spec)
+
+    def test_negative_pressure_means_oversubscribed(self):
+        assert parse_scenario("constrained:-0.5").pressure_gb == -0.5
+        assert parse_scenario("fragmented:0").frag_level == 0.0
+        assert parse_scenario("fragmented:1").frag_level == 1.0
 
 
 class TestPolicies:

@@ -1,10 +1,8 @@
 """Tests for the extension policies (managers, hugetlb, autotuner) in
 the experiment harness, plus the advisor-driven reorder helper.
 
-Policy construction goes through the zoo registry
-(:mod:`repro.policy.registry`); the historical helper functions in
-:mod:`repro.experiments.policies` are deprecation shims pinned by
-``TestDeprecatedHelpers``.
+Policy construction goes through the policy registry
+(:mod:`repro.policy.registry`).
 """
 
 import pytest
@@ -14,11 +12,8 @@ from repro.experiments.figures import recommended_reorder
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.policies import (
     POLICIES,
-    autotuner_policy,
-    hotness_manager_policy,
     hugetlb_policy,
     selective_policy,
-    utilization_manager_policy,
 )
 from repro.experiments.scenarios import fresh
 from repro.mem.thp import ThpMode
@@ -58,37 +53,8 @@ class TestPolicyFactories:
         assert not policy.plan.advise_fractions
         assert policy.make_thp().mode is ThpMode.NEVER
 
-
-class TestDeprecatedHelpers:
-    """The pre-registry helper functions keep working, warn, and
-    materialize the identical policy (same name, hence the same journal
-    spec fingerprint)."""
-
-    @pytest.mark.parametrize(
-        "shim, kwargs, spec",
-        [
-            (utilization_manager_policy, {}, "ingens"),
-            (hotness_manager_policy, {}, "hawkeye"),
-            (autotuner_policy, {}, "autotuner"),
-            (
-                utilization_manager_policy,
-                {"threshold": 0.8, "promotions_per_pass": 4},
-                None,
-            ),
-        ],
-    )
-    def test_shims_warn_and_match_registry(self, shim, kwargs, spec):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            policy = shim(**kwargs)
-        assert policy.manager_factory is not None
-        if spec is not None:
-            via_registry = get_policy(spec)
-            assert policy.name == via_registry.name
-            assert policy.plan == via_registry.plan
-
     def test_hugetlb_helper_still_plain(self):
-        # Not a boolean-knob shim: constructs the same policy the
-        # registry's `hugetlb` entry delegates to, without warning.
+        # The registry's `hugetlb` entry delegates to this helper.
         policy = hugetlb_policy(0.5, reorder="original")
         assert policy.plan.hugetlb_fractions
 

@@ -21,6 +21,7 @@ from repro.experiments.harness import (
     retry_backoff_cycles,
 )
 from repro.experiments.policies import POLICIES
+from repro.experiments.runconfig import RunConfig
 from repro.experiments.scenarios import constrained, fresh, oversubscribed
 
 
@@ -30,6 +31,11 @@ def runner():
     return ExperimentRunner(
         config=tiny(), datasets=("test-small",), pagerank_iterations=2
     )
+
+
+def reconfigure(runner, **fields):
+    """Swap in a run config with ``fields`` replaced (it is frozen)."""
+    runner.run_config = runner.run_config.replace(**fields)
 
 
 def run_bfs(runner, policy="base4k", scenario=None):
@@ -63,7 +69,7 @@ class TestRetries:
 
     def test_transient_glitch_survived_by_retry(self, runner):
         # staging fires once (max=1): attempt 1 dies, attempt 2 passes.
-        runner.fault_plan = FaultPlan.parse("staging:1.0:max=1")
+        reconfigure(runner, faults=FaultPlan.parse("staging:1.0:max=1"))
         metrics = run_bfs(runner)
         assert metrics.ok
         assert metrics.attempts == 2
@@ -74,7 +80,7 @@ class TestRetries:
         baseline = run_bfs(runner)
         retried_runner = ExperimentRunner(
             config=tiny(),
-            fault_plan=FaultPlan.parse("staging:1.0:max=1"),
+            run_config=RunConfig(faults=FaultPlan.parse("staging:1.0:max=1")),
         )
         retried = run_bfs(retried_runner)
         assert (
@@ -83,24 +89,24 @@ class TestRetries:
         )
 
     def test_retries_exhausted_becomes_cell_failure(self, runner):
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        reconfigure(runner, faults=FaultPlan.parse("staging:1.0"))
         result = run_bfs(runner)
         assert isinstance(result, CellFailure)
         assert not result.ok
-        assert result.attempts == runner.max_retries + 1
+        assert result.attempts == runner.run_config.retries + 1
         assert result.site is not None and result.site.value == "staging"
         assert result.error == "InjectedFaultError"
         assert result.label == "FAILED(staging)"
         assert runner.failures == [result]
 
     def test_strict_mode_propagates(self, runner):
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        reconfigure(runner, faults=FaultPlan.parse("staging:1.0"))
         runner.capture_failures = False
         with pytest.raises(InjectedFaultError):
             run_bfs(runner)
 
     def test_failure_is_cached(self, runner):
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        reconfigure(runner, faults=FaultPlan.parse("staging:1.0"))
         first = run_bfs(runner)
         second = run_bfs(runner)
         assert first is second
@@ -108,14 +114,14 @@ class TestRetries:
 
     def test_fault_plan_in_cache_key(self, runner):
         clean = run_bfs(runner)
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        reconfigure(runner, faults=FaultPlan.parse("staging:1.0"))
         faulted = run_bfs(runner)
         assert clean.ok and not faulted.ok
 
 
 class TestDeterministicFailures:
     def test_budget_overrun_not_retried(self, runner):
-        runner.cell_budget = 10
+        reconfigure(runner, cell_budget=10)
         result = run_bfs(runner)
         assert isinstance(result, CellFailure)
         assert result.error == "CellBudgetExceededError"
@@ -124,7 +130,7 @@ class TestDeterministicFailures:
 
     def test_budget_in_cache_key(self, runner):
         assert run_bfs(runner).ok
-        runner.cell_budget = 10
+        reconfigure(runner, cell_budget=10)
         assert not run_bfs(runner).ok
 
     def test_oom_captured_from_pressured_cell(self):
@@ -202,7 +208,7 @@ class TestGracefulFigureBatch:
 
     def test_fig07_completes_with_partial_data(self):
         plan = FaultPlan.parse("compaction:1.0")
-        faulted = ExperimentRunner(fault_plan=plan)
+        faulted = ExperimentRunner(run_config=RunConfig(faults=plan))
         result = fig07_pressure_alloc_order(
             faulted, workloads=("bfs",), datasets=("test-small",)
         )

@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.config import tiny
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.parse import parse_policy
 from repro.experiments.policies import POLICIES, Policy
@@ -37,6 +38,7 @@ from repro.policy.registry import (
     register_policy,
     registered_policies,
 )
+from repro.policy.tournament import run_tournament
 from repro.policy.zoo import AdvisorHook, AutotunerHook, SampledHotnessManager
 from repro.runstate.serialize import spec_fingerprint
 
@@ -232,10 +234,12 @@ class TestRegistry:
         )
 
     def test_bare_names_keep_builder_identity(self):
-        # Aliases of legacy fixed policies must fingerprint identically
-        # to those policies: the builder's native name survives.
+        # Fixed policies and their aliases materialize the table entries
+        # themselves, so they fingerprint identically.
         assert get_policy("never") is POLICIES["base4k"]
         assert get_policy("greedy-always") is POLICIES["thp"]
+        assert api.get_policy("thp") is POLICIES["thp"]
+        assert set(PINNED_FINGERPRINTS) <= set(registered_policies())
         assert get_policy("ingens").name == "ingens(u=90%)"
 
     def test_params_fold_into_the_name(self):
@@ -314,6 +318,83 @@ class TestRegistry:
             )
         }
         assert len(set(prints.values())) == len(prints)
+
+    @pytest.mark.parametrize("spec", ["selective:-0.2", "selective:nan"])
+    def test_malformed_selective_fraction_rejected(self, spec):
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            parse_policy(spec)
+
+    def test_selective_zero_is_the_no_advice_point(self):
+        policy = parse_policy("selective:0")
+        assert policy.name == "selective(s=0%,dbg)"
+        assert policy.plan.advise_fractions == {}
+
+
+# ----------------------------------------------------------------------
+# One namespace: every entry point resolves every name the same way
+# ----------------------------------------------------------------------
+
+NAMESPACE_DATASET = "test-small"
+
+PINNED_FINGERPRINTS = {
+    # bfs / test-small / fresh on the tiny profile, as journaled before
+    # the fixed table moved into the registry.
+    "base4k": "dc44a338b8b0bcd2",
+    "thp": "6acfb368e3aa4786",
+    "thp-opt": "74d323d7118602f3",
+    "madv-vertex": "5b3f1a890885ed52",
+    "madv-edge": "93c37957f5315a31",
+    "madv-values": "fcf4ceed05e608a2",
+    "madv-property": "97dd6821788032cf",
+    "dbg": "5d9202157035decc",
+    "dbg+thp": "67c24cadcfcbe64e",
+    "never": "dc44a338b8b0bcd2",
+    "greedy-always": "6acfb368e3aa4786",
+    "madvise": "97dd6821788032cf",
+}
+
+
+@pytest.fixture(scope="module")
+def namespace_runner():
+    return ExperimentRunner(config=tiny(), datasets=(NAMESPACE_DATASET,))
+
+
+class TestOneNamespace:
+    @pytest.mark.parametrize("name", sorted(registered_policies()))
+    def test_every_entry_point_agrees(
+        self, name, namespace_runner, monkeypatch
+    ):
+        runner = namespace_runner
+        context = {"dataset": NAMESPACE_DATASET, "config": runner.config}
+
+        def fingerprint(policy):
+            return runner.cell_spec(
+                "bfs", NAMESPACE_DATASET, policy, fresh()
+            )
+
+        recorded = []
+        run_cells = runner.run_cells
+
+        def recording(cells):
+            recorded.extend(cells)
+            return run_cells(cells)
+
+        monkeypatch.setattr(runner, "run_cells", recording)
+        run_tournament(
+            runner,
+            policies=(name,),
+            scenarios=("fresh",),
+            datasets=(NAMESPACE_DATASET,),
+        )
+        (*_, contender, _scenario) = recorded[-1]
+        prints = {
+            fingerprint(parse_policy(name, **context)),
+            fingerprint(api.get_policy(name, **context)),
+            fingerprint(contender),
+        }
+        assert len(prints) == 1
+        if name in PINNED_FINGERPRINTS:
+            assert prints == {PINNED_FINGERPRINTS[name]}
 
 
 # ----------------------------------------------------------------------

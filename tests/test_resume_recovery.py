@@ -13,6 +13,7 @@ import pytest
 from repro.errors import InjectedFaultError
 from repro.experiments.figures import fig07_pressure_alloc_order
 from repro.experiments.harness import ExperimentRunner
+from repro.experiments.runconfig import RunConfig
 from repro.faults import FaultPlan
 from repro.runstate import RunJournal
 
@@ -27,8 +28,9 @@ def run_fig07(runner: ExperimentRunner):
 
 
 def counting_runner(**kwargs) -> tuple[ExperimentRunner, list]:
-    """A runner that counts real cell simulations."""
-    runner = ExperimentRunner(**kwargs)
+    """A runner, configured by ``RunConfig(**kwargs)``, that counts real
+    cell simulations."""
+    runner = ExperimentRunner(run_config=RunConfig(**kwargs))
     simulations: list = []
     original = runner._simulate_cell
 
@@ -51,7 +53,11 @@ class TestCrashRecovery:
         """Run fig07 until the journal's ``after``-th append crashes."""
         plan = FaultPlan.parse(f"journal.write:after={after}")
         runner = ExperimentRunner(
-            journal=RunJournal(journal_path, injector=plan.make_injector())
+            run_config=RunConfig(
+                journal=RunJournal(
+                    journal_path, injector=plan.make_injector()
+                )
+            )
         )
         with pytest.raises(InjectedFaultError):
             run_fig07(runner)
@@ -103,8 +109,10 @@ class TestCrashRecovery:
         self.crash_sweep(path, after=3)
         plan = FaultPlan.parse("journal.write:after=4")
         second = ExperimentRunner(
-            journal=RunJournal(path, injector=plan.make_injector()),
-            resume=True,
+            run_config=RunConfig(
+                journal=RunJournal(path, injector=plan.make_injector()),
+                resume=True,
+            ),
         )
         with pytest.raises(InjectedFaultError):
             run_fig07(second)
@@ -130,6 +138,8 @@ class TestCrashRecovery:
     ):
         path = str(tmp_path / "run.jsonl")
         self.crash_sweep(path, after=3)
-        resumed = ExperimentRunner(journal=RunJournal(path), resume=True)
+        resumed = ExperimentRunner(
+            run_config=RunConfig(journal=RunJournal(path), resume=True),
+        )
         rendered = run_fig07(resumed).render()
         assert rendered == run_fig07(ExperimentRunner()).render()
